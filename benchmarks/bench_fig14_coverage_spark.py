@@ -51,11 +51,11 @@ def test_fig14_coverage_spark(benchmark):
     assert sum(hopp_values) > sum(fast_values)
     # JVM coverage trails the non-JVM suite (checked against Figure 11's
     # cached results when both benches run in one session).
-    from common import _RESULTS
+    from common import _MEMO
 
     nojvm = [
         result.coverage
-        for (name, system, _), result in _RESULTS.items()
+        for (name, system, _), result in _MEMO.items()
         if system == "hopp" and name in ("omp-kmeans", "quicksort")
     ]
     if nojvm:

@@ -443,6 +443,11 @@ class RemoteMemoryCluster:
     def is_lost(self, slot: int) -> bool:
         return slot in self._lost_slots
 
+    def unreadable(self, slot: int) -> bool:
+        """Whether no copy of ``slot`` can be served: every replica died
+        (lost) or every stored copy is known-bad (poisoned)."""
+        return slot in self._lost_slots or slot in self._poisoned_slots
+
     @property
     def lost_slot_count(self) -> int:
         return len(self._lost_slots)

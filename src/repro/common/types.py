@@ -89,6 +89,12 @@ class StreamObservation:
     per stream).  It is a live view, valid until the stream's next hot
     page; SSP consumes it synchronously.  None means "not provided" —
     consumers recount from ``stride_history``.
+
+    This is a snapshot.  On the data plane's hot path the tiers are
+    handed the STT entry itself (:class:`repro.hopp.stt.SttEntry`),
+    which offers the same attributes over its live deques; tier code
+    therefore only indexes histories from either end, iterates them,
+    or copies them with ``tuple()`` before slicing.
     """
 
     pid: int

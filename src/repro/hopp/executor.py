@@ -13,9 +13,9 @@ flexibility Depth-N lacks (Section II-C).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Protocol, Tuple
 
+from repro.common.compat import slotted_dataclass
 from repro.common.stats import Histogram
 from repro.common.types import PrefetchRequest
 from repro.hopp.policy import CircuitBreaker, PolicyEngine
@@ -33,7 +33,7 @@ class PrefetchBackend(Protocol):
         ...
 
 
-@dataclass
+@slotted_dataclass()
 class PrefetchRecord:
     """Lifecycle of one prefetched page, keyed by (pid, vpn)."""
 
@@ -80,47 +80,51 @@ class ExecutionEngine:
 
     # -- issue path ------------------------------------------------------------------
 
+    def issue(
+        self, pid: int, vpn: int, tier: str, stream_id: int, now_us: float
+    ) -> bool:
+        """Issue one target unless it is already outstanding or the
+        breaker gates it; returns whether a prefetch went out."""
+        key = (pid, vpn)
+        records = self._records
+        if key in records:
+            self.duplicates += 1
+            return False
+        breaker = self.breaker
+        if breaker is not None and not breaker.allow(now_us):
+            self.suppressed += 1
+            if self.bus is not None:
+                self.bus.emit(EV_PREFETCH_GATE, now_us)
+            return False
+        self._drop_signal = False
+        arrival = self.backend.prefetch_page(pid, vpn, now_us, self.inject_pte, tier)
+        if arrival is None:
+            # Either nothing to fetch (already local / in flight) or
+            # a fabric drop; the machine reports drops synchronously
+            # through on_fabric_drop, which sets the signal flag.
+            if not self._drop_signal:
+                self.rejected += 1
+                if breaker is not None:
+                    # No transfer happened, so the probe (if any)
+                    # observed nothing — give it back.
+                    breaker.refund_probe()
+            return False
+        if breaker is not None:
+            breaker.record_success(now_us, arrival - now_us)
+        records[key] = PrefetchRecord(tier, stream_id, now_us, arrival)
+        self.issued += 1
+        by_tier = self.issued_by_tier
+        by_tier[tier] = by_tier.get(tier, 0) + 1
+        return True
+
     def submit(self, requests: List[PrefetchRequest], now_us: float) -> int:
         """Issue de-duplicated requests; returns how many went out."""
+        issue = self.issue
         sent = 0
         for request in requests:
-            key = (request.pid, request.vpn)
-            if key in self._records:
-                self.duplicates += 1
-                continue
-            if self.breaker is not None and not self.breaker.allow(now_us):
-                self.suppressed += 1
-                if self.bus is not None:
-                    self.bus.emit(EV_PREFETCH_GATE, now_us)
-                continue
-            self._drop_signal = False
-            arrival = self.backend.prefetch_page(
-                request.pid, request.vpn, now_us, self.inject_pte, request.tier
+            sent += issue(
+                request.pid, request.vpn, request.tier, request.stream_id, now_us
             )
-            if arrival is None:
-                # Either nothing to fetch (already local / in flight) or
-                # a fabric drop; the machine reports drops synchronously
-                # through on_fabric_drop, which sets the signal flag.
-                if not self._drop_signal:
-                    self.rejected += 1
-                    if self.breaker is not None:
-                        # No transfer happened, so the probe (if any)
-                        # observed nothing — give it back.
-                        self.breaker.refund_probe()
-                continue
-            if self.breaker is not None:
-                self.breaker.record_success(now_us, arrival - now_us)
-            self._records[key] = PrefetchRecord(
-                tier=request.tier,
-                stream_id=request.stream_id,
-                issued_us=now_us,
-                arrival_us=arrival,
-            )
-            self.issued += 1
-            self.issued_by_tier[request.tier] = (
-                self.issued_by_tier.get(request.tier, 0) + 1
-            )
-            sent += 1
         return sent
 
     # -- machine callbacks ----------------------------------------------------------------

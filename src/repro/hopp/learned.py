@@ -86,7 +86,9 @@ class LearnedStridePredictor:
 
     def train(self, observation: StreamObservation) -> Optional[PrefetchDecision]:
         """Update the model with the newest transition, then predict."""
-        strides = observation.stride_history
+        # tuple(): a live STT entry hands over its deque; slicing
+        # needs a sequence (a snapshot's tuple is returned as is).
+        strides = tuple(observation.stride_history)
         if len(strides) < self.context_len + 1:
             return None
         # Learn every (context -> next stride) transition in the window

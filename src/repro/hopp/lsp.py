@@ -41,8 +41,10 @@ def train(
 ) -> Optional[PrefetchDecision]:
     """Algorithm 1.  Returns None when no earlier pattern occurrence
     exists (next_stride empty -> stride_target = 0, no prefetch)."""
-    vpns = observation.vpn_history
-    strides = observation.stride_history
+    # A live STT entry hands over its deques; slicing needs tuples
+    # (tuple() of a snapshot's tuple is the same object, no copy).
+    vpns = tuple(observation.vpn_history)
+    strides = tuple(observation.stride_history)
     n = len(vpns)
     if n < pattern_len + 2 or len(strides) != n - 1:
         return None
@@ -78,7 +80,7 @@ def train(
         return None
     return PrefetchDecision(
         tier=TIER_NAME,
-        base_vpn=observation.vpn_history[-1],
+        base_vpn=vpns[-1],
         per_offset_stride=pattern_stride,
         fixed_delta=stride_target,
     )

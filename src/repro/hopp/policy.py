@@ -231,35 +231,44 @@ class PolicyEngine:
     def offset_of(self, stream_id: int) -> float:
         return self._offsets.get(stream_id, self.config.initial_offset)
 
+    def targets(self, decision: PrefetchDecision, stream_id: int) -> List[int]:
+        """Apply offset + intensity to a tier decision: the VPNs to fetch.
+
+        Emits ``intensity`` consecutive targets starting at the stream's
+        current offset.  Targets with negative VPNs (streams walking down
+        past zero) are dropped.
+        """
+        offset = round(self._offsets.get(stream_id, self.config.initial_offset))
+        if offset < 1:
+            offset = 1
+        head = decision.base_vpn + decision.fixed_delta
+        stride = decision.per_offset_stride
+        out = []
+        for i in range(offset, offset + self.config.intensity):
+            vpn = head + i * stride
+            if vpn >= 0:
+                out.append(vpn)
+        self.requests_out += len(out)
+        return out
+
     def finalize(
         self,
         decision: PrefetchDecision,
         observation: StreamObservation,
         now_us: float,
     ) -> List[PrefetchRequest]:
-        """Apply offset + intensity to a tier decision.
-
-        Emits ``intensity`` consecutive targets starting at the stream's
-        current offset.  Targets with negative VPNs (streams walking down
-        past zero) are dropped.
-        """
-        base_offset = max(1, round(self.offset_of(observation.stream_id)))
-        requests: List[PrefetchRequest] = []
-        for extra in range(self.config.intensity):
-            vpn = decision.target_vpn(base_offset + extra)
-            if vpn < 0:
-                continue
-            requests.append(
-                PrefetchRequest(
-                    pid=observation.pid,
-                    vpn=vpn,
-                    tier=decision.tier,
-                    issued_at_us=now_us,
-                    stream_id=observation.stream_id,
-                )
+        """:meth:`targets` as request records, for callers that hand
+        them to :meth:`ExecutionEngine.submit`."""
+        return [
+            PrefetchRequest(
+                pid=observation.pid,
+                vpn=vpn,
+                tier=decision.tier,
+                issued_at_us=now_us,
+                stream_id=observation.stream_id,
             )
-        self.requests_out += len(requests)
-        return requests
+            for vpn in self.targets(decision, observation.stream_id)
+        ]
 
     # -- timeliness feedback (from the execution engine) ----------------------------
 

@@ -91,6 +91,12 @@ class RptCache:
         self.backing = backing
         self.size_kb = size_kb
         self._table: SetAssociativeTable[_CacheLine] = SetAssociativeTable(nsets, ways)
+        # The table uses the default ``ppn % nsets`` index; both paths
+        # below probe its sets directly instead of going through the
+        # table's per-call helpers.
+        self._sets = self._table._sets
+        self._nsets = nsets
+        self._ways = ways
         self.lookups = 0
         self.lookup_hits = 0
         self.dram_fills = 0
@@ -103,13 +109,17 @@ class RptCache:
         never mapped (e.g., kernel/DMA memory) — those hot pages are
         dropped before reaching the training framework."""
         self.lookups += 1
-        line = self._table.lookup(ppn)
+        target = self._sets[ppn % self._nsets]
+        line = target.get(ppn)
         if line is not None:
+            target.move_to_end(ppn)
+            self._table.hits += 1
             self.lookup_hits += 1
             return line.entry
+        self._table.misses += 1
         entry = self.backing.read(ppn)
         self.dram_fills += 1
-        self._install(ppn, _CacheLine(entry=entry, dirty=False))
+        self._install(target, ppn, _CacheLine(entry=entry, dirty=False))
         return entry
 
     # -- kernel hook side ----------------------------------------------------------
@@ -120,19 +130,25 @@ class RptCache:
         Hook traffic does not count toward the hot-page-query hit rate
         (Table III measures the lookup path only).
         """
-        line = self._table.peek(ppn)
+        target = self._sets[ppn % self._nsets]
+        line = target.get(ppn)
         if line is not None:
-            self._table.touch(ppn)
+            target.move_to_end(ppn)
             line.entry = entry
             line.dirty = True
             return
-        self._install(ppn, _CacheLine(entry=entry, dirty=True))
+        self._install(target, ppn, _CacheLine(entry=entry, dirty=True))
 
-    def _install(self, ppn: int, line: _CacheLine) -> None:
-        victim = self._table.insert(ppn, line)
-        if victim is not None and victim[1].dirty:
-            self.backing.write(victim[0], victim[1].entry)
-            self.writebacks += 1
+    def _install(self, target, ppn: int, line: _CacheLine) -> None:
+        """Insert a line known to be absent from its set ``target``,
+        writing back the LRU victim when the set is full and dirty."""
+        if len(target) >= self._ways:
+            victim_ppn, victim = target.popitem(last=False)
+            self._table.evictions += 1
+            if victim.dirty:
+                self.backing.write(victim_ppn, victim.entry)
+                self.writebacks += 1
+        target[ppn] = line
 
     def flush(self) -> None:
         """Write back every dirty line (used by tests and shutdown)."""

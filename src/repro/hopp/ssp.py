@@ -44,38 +44,37 @@ def dominant_stride_from_counts(counts, strides, min_count: int) -> Optional[int
     order is re-insertion order, not first-occurrence order, so ties
     re-scan the window — the rare path).
     """
+    best = None
     best_count = 0
-    for c in counts.values():
+    tied = False
+    for s, c in counts.items():
         if c > best_count:
+            best = s
             best_count = c
+            tied = False
+        elif c == best_count:
+            tied = True
     if best_count < min_count:
         return None
-    tied = [s for s, c in counts.items() if c == best_count]
-    if len(tied) == 1:
-        return tied[0]
-    tied_set = set(tied)
+    if not tied:
+        return best
     for s in strides:
-        if s in tied_set:
+        if counts.get(s) == best_count:
             return s
     return None  # pragma: no cover - tied strides always appear in strides
 
 
 def train(observation: StreamObservation) -> Optional[PrefetchDecision]:
     """Identify a simple stream; None hands over to LSP."""
-    history_len = len(observation.vpn_history)
+    vpns = observation.vpn_history
+    min_count = len(vpns) // 2
     counts = observation.stride_counts
     if counts is None:
-        stride = dominant_stride(
-            observation.stride_history, min_count=history_len // 2
-        )
+        stride = dominant_stride(observation.stride_history, min_count)
     else:
         stride = dominant_stride_from_counts(
-            counts, observation.stride_history, min_count=history_len // 2
+            counts, observation.stride_history, min_count
         )
     if stride is None:
         return None
-    return PrefetchDecision(
-        tier=TIER_NAME,
-        base_vpn=observation.vpn_history[-1],
-        per_offset_stride=stride,
-    )
+    return PrefetchDecision(TIER_NAME, vpns[-1], stride)

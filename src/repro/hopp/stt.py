@@ -30,17 +30,36 @@ class SttEntry:
     #: Strides between consecutive VPNs; len == len(vpns) - 1.
     strides: Deque[int]
     #: Invariant: Counter of the non-zero strides currently in
-    #: ``strides``, maintained incrementally by ``feed`` so SSP's
+    #: ``strides``, maintained incrementally by ``step`` so SSP's
     #: dominant-stride scan is O(distinct strides) per observation
     #: instead of O(history).
     stride_counts: Dict[int, int] = field(default_factory=dict)
-    #: Mirror of ``vpns[-1]`` kept as a plain slot: ``_match`` reads it
+    #: Mirror of ``vpns[-1]`` kept as a plain slot: ``step`` reads it
     #: once per scanned peer, and the deque indexing adds up.
     last: int = 0
 
     @property
     def last_vpn(self) -> int:
         return self.vpns[-1]
+
+    # The StreamObservation protocol over the live window (see
+    # StreamTrainingTable.step): tiers read these synchronously.
+
+    @property
+    def vpn(self) -> int:
+        return self.last
+
+    @property
+    def stride(self) -> int:
+        return self.strides[-1]
+
+    @property
+    def vpn_history(self) -> Deque[int]:
+        return self.vpns
+
+    @property
+    def stride_history(self) -> Deque[int]:
+        return self.strides
 
 
 class StreamTrainingTable:
@@ -60,7 +79,7 @@ class StreamTrainingTable:
         #: stream_id -> entry; ordering encodes recency (last = MRU).
         self._entries: "OrderedDict[int, SttEntry]" = OrderedDict()
         #: pid -> (stream_id -> entry), mirroring ``_entries``'s recency
-        #: order among that pid's streams; lets ``_match`` scan only the
+        #: order among that pid's streams; lets ``step`` scan only the
         #: pid's own streams with an identical tie-break order.
         self._by_pid: Dict[int, "OrderedDict[int, SttEntry]"] = {}
         self._next_stream_id = 0
@@ -72,22 +91,46 @@ class StreamTrainingTable:
 
     # -- feeding hot pages ---------------------------------------------------------
 
-    def feed(self, pid: int, vpn: int, now_us: float = 0.0) -> Optional[StreamObservation]:
-        """Insert one hot page; returns an observation when the matched
-        stream's history is full (training can run), else None."""
+    def step(self, pid: int, vpn: int) -> Optional[SttEntry]:
+        """Insert one hot page; returns the matched stream when its
+        history is full (training can run), else None.
+
+        The returned entry is a *live* observation: its
+        ``vpn_history``/``stride_history``/``stride_counts`` are the
+        stream's own window, valid until its next hot page.  The data
+        plane trains on it synchronously, so nothing is copied on the
+        hot path; :meth:`feed` snapshots it for everyone else.
+        """
         self.hot_pages_in += 1
-        entry = self._match(pid, vpn)
+        # Closest stream with the same PID within Delta_stream pages.
+        # Only the pid's own streams are scanned (``_by_pid``); their
+        # relative recency order matches ``_entries``, so the strict
+        # ``<`` tie-break (first-scanned wins among equal distances)
+        # picks the same entry a full-table scan would.
+        peers = self._by_pid.get(pid)
+        entry = None
+        if peers:
+            best_distance = self.stream_delta + 1
+            for peer in peers.values():
+                distance = vpn - peer.last
+                if distance < 0:
+                    distance = -distance
+                if distance < best_distance:
+                    entry = peer
+                    best_distance = distance
         if entry is None:
             self._allocate(pid, vpn)
             return None
-        if vpn == entry.last:
+        stream_id = entry.stream_id
+        self._entries.move_to_end(stream_id)
+        peers.move_to_end(stream_id)
+        last = entry.last
+        if vpn == last:
             # Repeated extraction of the same page (multi-channel dedup,
             # Section III-B) — no new information.
             self.duplicates_dropped += 1
-            self._entries.move_to_end(entry.stream_id)
-            self._by_pid[pid].move_to_end(entry.stream_id)
             return None
-        stride = vpn - entry.last
+        stride = vpn - last
         strides = entry.strides
         counts = entry.stride_counts
         if len(strides) == strides.maxlen:
@@ -99,25 +142,34 @@ class StreamTrainingTable:
                     counts[old] = left
                 else:
                     del counts[old]
-        entry.vpns.append(vpn)
+        vpns = entry.vpns
+        vpns.append(vpn)
         entry.last = vpn
         strides.append(stride)
         if stride:
             counts[stride] = counts.get(stride, 0) + 1
-        self._entries.move_to_end(entry.stream_id)
-        self._by_pid[pid].move_to_end(entry.stream_id)
-        if len(entry.vpns) < self.history_len:
+        if len(vpns) < self.history_len:
             return None
         self.observations_out += 1
+        return entry
+
+    def feed(self, pid: int, vpn: int, now_us: float = 0.0) -> Optional[StreamObservation]:
+        """:meth:`step`, returning an immutable snapshot of the trained
+        stream instead of the live entry (offline consumers and tests
+        keep observations around)."""
+        entry = self.step(pid, vpn)
+        if entry is None:
+            return None
+        strides = entry.strides
         return StreamObservation(
             pid=pid,
             vpn=vpn,
-            stride=stride,
+            stride=strides[-1],
             vpn_history=tuple(entry.vpns),
             stride_history=tuple(strides),
             stream_id=entry.stream_id,
             timestamp_us=now_us,
-            stride_counts=counts,
+            stride_counts=entry.stride_counts,
         )
 
     def feed_batch(self, hot_pages, now_us: float = 0.0) -> List[StreamObservation]:
@@ -140,27 +192,6 @@ class StreamTrainingTable:
         return out
 
     # -- internals -------------------------------------------------------------------
-
-    def _match(self, pid: int, vpn: int) -> Optional[SttEntry]:
-        """Closest stream with the same PID within Delta_stream pages.
-
-        Scans only the pid's own streams via ``_by_pid``; their relative
-        recency order matches ``_entries``, so the strict ``<`` tie-break
-        (first-scanned wins among equal distances) picks the same entry
-        the full-table scan would.
-        """
-        peers = self._by_pid.get(pid)
-        if not peers:
-            return None
-        best: Optional[SttEntry] = None
-        best_distance = self.stream_delta + 1
-        _abs = abs
-        for entry in peers.values():
-            distance = _abs(vpn - entry.last)
-            if distance < best_distance:
-                best = entry
-                best_distance = distance
-        return best if best_distance <= self.stream_delta else None
 
     def _allocate(self, pid: int, vpn: int) -> SttEntry:
         if len(self._entries) >= self.capacity:

@@ -157,42 +157,44 @@ class HoppDataPlane:
 
         Split out of :meth:`on_mc_access` so the chunked batch kernel,
         which runs HPD itself over whole same-page runs, can enter the
-        pipeline directly at an extraction barrier.
+        pipeline directly at an extraction barrier.  The chain is kept
+        shallow on purpose: the STT hands the trainer its live entry
+        (no snapshot), the policy hands back bare target VPNs (no
+        request records), and each target goes straight to the
+        executor's issue path.
         """
         entry = self.rpt_cache.lookup(hot_ppn)
         if entry is None:
             # Frame not mapped by any process (kernel/DMA memory).
             self.hot_pages_unresolved += 1
             return
+        pid = entry.pid
+        vpn = entry.vpn
         if self._memtier is not None:
             # Hardware said this page is hot; the migration engine will
             # promote its remote copy poolward if it sits in the far tier.
-            self._memtier.note_hot(entry.pid, entry.vpn, timestamp_us)
-        observation = self.stt.feed(entry.pid, entry.vpn, timestamp_us)
-        if observation is None:
+            self._memtier.note_hot(pid, vpn, timestamp_us)
+        stream = self.stt.step(pid, vpn)
+        if stream is None:
             return
-        decision = self.trainer.train(observation)
+        decision = self.trainer.train(stream)
         if decision is None:
             return
         if self.advisor is not None:
-            self.advisor.on_stream_step(
-                observation.pid, observation.vpn, decision.per_offset_stride
-            )
-        if self.batcher is not None and decision.tier == "ssp":
+            self.advisor.on_stream_step(pid, vpn, decision.per_offset_stride)
+        stream_id = stream.stream_id
+        tier = decision.tier
+        if self.batcher is not None and tier == "ssp":
             absorbed = self.batcher.observe(
-                observation.stream_id,
-                observation.pid,
-                observation.vpn,
-                decision.per_offset_stride,
-                timestamp_us,
+                stream_id, pid, vpn, decision.per_offset_stride, timestamp_us
             )
             if absorbed:
                 # The stream rides 2 MB batches now; skip the
                 # single-page request for this step.
                 return
-        requests = self.policy.finalize(decision, observation, timestamp_us)
-        if requests:
-            self.executor.submit(requests, timestamp_us)
+        issue = self.executor.issue
+        for target in self.policy.targets(decision, stream_id):
+            issue(pid, target, tier, stream_id, timestamp_us)
 
     # -- fault-path visibility ----------------------------------------------------------
 

@@ -47,17 +47,22 @@ class ThreeTierTrainer:
         self.config = config or TierConfig()
         self.decisions_by_tier: Dict[str, int] = {"ssp": 0, "lsp": 0, "rsp": 0}
         self.no_decision = 0
+        #: The enabled tiers' train functions, in priority order.
+        self._tiers = tuple(
+            tier.train
+            for tier, enabled in (
+                (ssp, self.config.enable_ssp),
+                (lsp, self.config.enable_lsp),
+                (rsp, self.config.enable_rsp),
+            )
+            if enabled
+        )
 
     def train(self, observation: StreamObservation) -> Optional[PrefetchDecision]:
-        decision: Optional[PrefetchDecision] = None
-        if self.config.enable_ssp:
-            decision = ssp.train(observation)
-        if decision is None and self.config.enable_lsp:
-            decision = lsp.train(observation)
-        if decision is None and self.config.enable_rsp:
-            decision = rsp.train(observation)
-        if decision is None:
-            self.no_decision += 1
-        else:
-            self.decisions_by_tier[decision.tier] += 1
-        return decision
+        for tier_train in self._tiers:
+            decision = tier_train(observation)
+            if decision is not None:
+                self.decisions_by_tier[decision.tier] += 1
+                return decision
+        self.no_decision += 1
+        return None

@@ -98,7 +98,9 @@ class PageTable:
 
         Fires the set hooks so the reverse page table stays consistent.
         """
-        pte = self.entry(vpn)
+        pte = self._entries.get(vpn)
+        if pte is None:
+            pte = self._entries[vpn] = Pte()
         pte.state = PteState.PRESENT
         pte.ppn = ppn
         pte.injected = injected

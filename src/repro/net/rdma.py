@@ -104,8 +104,12 @@ class RdmaFabric:
 
     def _propagation_us(self, now_us: float) -> float:
         cfg = self.config
-        latency = cfg.base_latency_us + self._rng.uniform(0.0, cfg.jitter_us)
-        if cfg.spike_probability and self._rng.random() < cfg.spike_probability:
+        rng = self._rng
+        # ``jitter * random()`` is exactly ``uniform(0.0, jitter)``
+        # (``0.0 + (jitter - 0.0) * random()``), with the same single
+        # draw, minus a Python-level call.
+        latency = cfg.base_latency_us + cfg.jitter_us * rng.random()
+        if cfg.spike_probability and rng.random() < cfg.spike_probability:
             latency *= cfg.spike_factor
         if self.injector is not None:
             latency *= self.injector.latency_factor(now_us)

@@ -71,7 +71,8 @@ class RemoteMemoryNode:
         self, slot: int, pid: int, vpn: int, now_us: Optional[float] = None
     ) -> None:
         """Store page (pid, vpn) at ``slot`` (reclaim writeback)."""
-        self._check_available(now_us)
+        if self.injector is not None and now_us is not None:
+            self.injector.check_remote(now_us)
         if slot not in self._slots and len(self._slots) >= self.capacity_pages:
             raise MemoryError(
                 f"remote node full ({self.capacity_pages} pages)"

@@ -50,22 +50,26 @@ Two chunk engines share that retirement logic:
 * the *scalar* engine scans ahead access-by-access and is the fallback
   for mixed/odd traces, tiny chunks, and numpy-less environments.
 
-Exactness of the arrival barrier: the oracle takes the fast path while
+Exactness of the arrival barrier: the oracle lands every arrival with
+``arrivals[0][0] <= now`` before an access's residency check, so the
+kernel does the same at the top of each step and then runs while
 ``arrivals[0][0] > now``.  Within a run ``now`` advances by the
 constant ``cost0`` per access, so the number of accesses that fit
-before the deadline has the closed form ``gap / cost0``; the kernel
-budgets ``int(gap / cost0) - 1`` accesses, whose slack (>= one full
-``cost0`` = at least T_DRAM_HIT_US) dwarfs the worst-case accumulated
-rounding error of a <=4096-term float sum.  Accesses beyond the budget
-re-enter the exact per-access path — the bound only needs to be
-conservative, never tight.  Deferred chains never span an arrival
-check: a pending chain exists only while the arrivals heap is empty,
-and every slow-path entry, extraction, and chunk edge flushes it.
+before the deadline has the closed form ``gap / cost0``; far from the
+deadline the kernel budgets ``int(gap / cost0) - 1`` accesses, whose
+slack (>= one full ``cost0`` = at least T_DRAM_HIT_US) dwarfs the
+worst-case accumulated rounding error of a <=4096-term float sum.
+Within two accesses of the deadline it counts the fitting accesses by
+repeating the oracle's own ``+= cost0`` additions, which is exact (and
+at least one, since nothing is due at ``now``).  Deferred chains never
+span an arrival check: a pending chain exists only while the arrivals
+heap is empty, and every slow-path entry, extraction, and chunk edge
+flushes it.
 
-Anything else — a missing/non-PRESENT/prefetched PTE, a due arrival, an
-unknown HPD implementation, extra taps — exits to the existing slow
-path, keeping results byte-identical to ``use_fast_path=False`` (pinned
-by tests/test_fastpath.py and tests/data/goldens_v1.json).
+Anything else — a missing/non-PRESENT/prefetched PTE, an unknown HPD
+implementation, extra taps — exits to the existing slow path, keeping
+results byte-identical to ``use_fast_path=False`` (pinned by
+tests/test_fastpath.py and tests/data/goldens_v1.json).
 """
 
 from __future__ import annotations
@@ -80,6 +84,7 @@ except ImportError:  # pragma: no cover - environment without numpy
 
 from repro.common.constants import BLOCK_SIZE, PAGE_SHIFT, T_DRAM_HIT_US
 from repro.hopp.hpd import HotPageDetector, MultiChannelHpd
+from repro.hopp.system import HoppDataPlane
 from repro.kernel.page_table import PteState
 
 PAGE_OFFSET_MASK = (1 << PAGE_SHIFT) - 1
@@ -143,14 +148,18 @@ def _seq_add3(a, b, c, ca, cb, cc, k, buf3):
 
 
 def supports_batch_taps(machine) -> bool:
-    """True when the machine's tap wiring is exactly the HoPP data
+    """True when the machine's tap wiring is exactly the stock HoPP data
     plane's MC tap with a detector the kernel knows how to batch.
 
-    Anything else (HMTT tracers, benchmark-registered extra planes,
-    prototype detectors) falls back to the per-access tapped loop.
+    The kernel runs the HPD itself and enters the plane at
+    ``on_hot_page``, so it must know that ``on_mc_access`` is the stock
+    one: a subclass that overrides the tap (the Section V prototype's
+    trace ring, for one) would be bypassed.  Hence the exact-type check;
+    anything else (HMTT tracers, benchmark-registered extra planes,
+    subclassed planes) falls back to the per-access tapped loop.
     """
     plane = machine.hopp
-    if plane is None:
+    if type(plane) is not HoppDataPlane:
         return False
     taps = machine.controller._taps
     if len(taps) != 1 or taps[0] != plane.on_mc_access:
@@ -191,16 +200,16 @@ class BatchKernel:
                 scalar(buf)
                 continue
             # Uniform tuple arity lets one zip transpose the chunk;
-            # mixed/odd traces take the scalar scan.  strict=True makes
-            # a stray 3-tuple in a mostly-2-tuple chunk raise instead
-            # of silently truncating the transpose (dropping writes).
-            try:
-                if len(buf[0]) == 3:
-                    pids_t, vaddrs_t, writes_t = zip(*buf, strict=True)
-                else:
-                    pids_t, vaddrs_t = zip(*buf, strict=True)
-                    writes_t = None
-            except (ValueError, TypeError):
+            # mixed/odd traces take the scalar scan.  The arity check
+            # comes first because zip truncates silently: a stray
+            # 3-tuple in a mostly-2-tuple chunk would lose its write.
+            arities = set(map(len, buf))
+            if arities == {2}:
+                pids_t, vaddrs_t = zip(*buf)
+                writes_t = None
+            elif arities == {3}:
+                pids_t, vaddrs_t, writes_t = zip(*buf)
+            else:
                 scalar(buf)
                 continue
             vector(buf, pids_t, vaddrs_t, writes_t)
@@ -300,23 +309,41 @@ class BatchKernel:
             vaddr = vaddrs_t[i]
             vpn = vaddr >> page_shift
             # -- barrier checks: due/imminent arrival, residency --------
+            if arrivals and arrivals[0][0] <= now:
+                # Barrier: due arrivals land before this access's
+                # residency check, exactly where access() lands them.
+                m.now_us = now
+                m.accesses = accesses
+                m.compute_us = compute_us
+                breakdown.dram_hit_us = dram
+                process_arrivals(now)
+                dram = breakdown.dram_hit_us
             run_pte = None
             if arrivals:
-                gap = arrivals[0][0] - now
-                budget = int(gap / cost0) - 1 if gap > 0.0 else 0
+                due = arrivals[0][0]
+                budget = int((due - now) / cost0) - 1
+                if budget < 2:
+                    # Near the deadline the float slack would cost whole
+                    # sub-runs; count the accesses that fit with the
+                    # oracle's own additions instead.  Nothing is due
+                    # at ``now``, so at least one does.
+                    budget = 0
+                    t = now
+                    while t < due:
+                        budget += 1
+                        t += cost0
             else:
                 budget = end - i
-            if budget > 0:
-                cached = hot.get(pid)
-                if cached is None:
-                    cached = hot[pid] = (tables[pid]._entries, lru_of_pid(pid))
-                pte = cached[0].get(vpn)
-                if (
-                    pte is not None
-                    and pte.state is present
-                    and not pte.prefetched
-                ):
-                    run_pte = pte
+            cached = hot.get(pid)
+            if cached is None:
+                cached = hot[pid] = (tables[pid]._entries, lru_of_pid(pid))
+            pte = cached[0].get(vpn)
+            if (
+                pte is not None
+                and pte.state is present
+                and not pte.prefetched
+            ):
+                run_pte = pte
             if run_pte is None:
                 # ---- slow path: one access through the full fault
                 # machinery, inlined from Machine.access (health and
@@ -337,25 +364,12 @@ class BatchKernel:
                     dh_thits = dh_acc = dh_drop = dh_wign = 0
                 is_write = False if writes_t is None else writes_t[i]
                 accesses += 1
-                if arrivals and arrivals[0][0] <= now:
-                    m.now_us = now
-                    m.accesses = accesses
-                    m.compute_us = compute_us
-                    breakdown.dram_hit_us = dram
-                    process_arrivals(now)
-                    dram = breakdown.dram_hit_us
                 table = tables[pid]
                 pte = table.entry(vpn)
                 state = pte.state
                 if state is present:
                     cost = t_dram
                     dram += cost
-                    cached = hot.get(pid)
-                    if cached is None:
-                        cached = hot[pid] = (
-                            tables[pid]._entries,
-                            lru_of_pid(pid),
-                        )
                     cached[1].touch(pid, vpn)
                     if pte.prefetched:
                         m.now_us = now
@@ -608,24 +622,42 @@ class BatchKernel:
                 pid, vaddr = item
                 is_write = False
             # -- barrier checks: due/imminent arrival, residency ----
+            if arrivals and arrivals[0][0] <= now:
+                # Barrier: due arrivals land before this access's
+                # residency check, exactly where access() lands them.
+                m.now_us = now
+                m.accesses = accesses
+                m.compute_us = compute_us
+                breakdown.dram_hit_us = dram
+                process_arrivals(now)
+                dram = breakdown.dram_hit_us
             run_pte = None
             if arrivals:
-                gap = arrivals[0][0] - now
-                budget = int(gap / cost0) - 1 if gap > 0.0 else 0
+                due = arrivals[0][0]
+                budget = int((due - now) / cost0) - 1
+                if budget < 2:
+                    # Near the deadline the float slack would cost whole
+                    # sub-runs; count the accesses that fit with the
+                    # oracle's own additions instead.  Nothing is due
+                    # at ``now``, so at least one does.
+                    budget = 0
+                    t = now
+                    while t < due:
+                        budget += 1
+                        t += cost0
             else:
                 budget = n
-            if budget > 0:
-                cached = hot.get(pid)
-                if cached is None:
-                    cached = hot[pid] = (tables[pid]._entries, lru_of_pid(pid))
-                vpn = vaddr >> page_shift
-                pte = cached[0].get(vpn)
-                if (
-                    pte is not None
-                    and pte.state is present
-                    and not pte.prefetched
-                ):
-                    run_pte = pte
+            cached = hot.get(pid)
+            if cached is None:
+                cached = hot[pid] = (tables[pid]._entries, lru_of_pid(pid))
+            vpn = vaddr >> page_shift
+            pte = cached[0].get(vpn)
+            if (
+                pte is not None
+                and pte.state is present
+                and not pte.prefetched
+            ):
+                run_pte = pte
             if run_pte is None:
                 # ---- slow path: one access through the full fault
                 # machinery, inlined from Machine.access (health and
@@ -633,26 +665,12 @@ class BatchKernel:
                 # Machine state is flushed before any re-entrant
                 # call and reloaded after.
                 accesses += 1
-                if arrivals and arrivals[0][0] <= now:
-                    m.now_us = now
-                    m.accesses = accesses
-                    m.compute_us = compute_us
-                    breakdown.dram_hit_us = dram
-                    process_arrivals(now)
-                    dram = breakdown.dram_hit_us
-                vpn = vaddr >> page_shift
                 table = tables[pid]
                 pte = table.entry(vpn)
                 state = pte.state
                 if state is present:
                     cost = t_dram
                     dram += cost
-                    cached = hot.get(pid)
-                    if cached is None:
-                        cached = hot[pid] = (
-                            tables[pid]._entries,
-                            lru_of_pid(pid),
-                        )
                     cached[1].touch(pid, vpn)
                     if pte.prefetched:
                         m.now_us = now

@@ -644,7 +644,7 @@ class Machine:
         self.swapcache.take(pid, vpn)
         self._count_prefetch_hit(pid, vpn, pte, "swapcache")
         table.map_page(vpn, pte.ppn)
-        self._release_remote_copy(pid, vpn)
+        self._release_remote_copy(pte)
         self._lru_of_pid(pid).touch(pid, vpn)
         cost = T_PREFETCH_HIT_US
         self.breakdown.prefetch_hit_us += cost
@@ -660,7 +660,7 @@ class Machine:
         if pte.state == PteState.SWAPCACHE:
             self.swapcache.take(pid, vpn)
             table.map_page(vpn, pte.ppn)
-            self._release_remote_copy(pid, vpn)
+            self._release_remote_copy(pte)
         self._count_prefetch_hit(pid, vpn, pte, "inflight")
         self._lru_of_pid(pid).touch(pid, vpn)
         cost = wait + T_PREFETCH_HIT_US
@@ -731,7 +731,7 @@ class Machine:
                 self.fatal_faults_absorbed += 1
                 zero_filled = True
         table.map_page(vpn, ppn)
-        self._release_remote_copy(pid, vpn, slot)
+        self._release_remote_copy(pte, slot)
         self._lru_of_pid(pid).insert(pid, vpn)
         cost = (
             T_CONTEXT_SWITCH_US
@@ -922,12 +922,16 @@ class Machine:
         table = self._page_tables.get(pid)
         if table is None or vpn < 0:
             return None
-        pte = table.entry(vpn)
-        if pte.state != PteState.REMOTE:
+        pte = table._entries.get(vpn)
+        if pte is None:
+            table.entry(vpn)  # first sight of the page: an UNTOUCHED PTE
             return None
-        if self._slot_is_lost(pte.swap_slot) or self._slot_is_poisoned(
-            pte.swap_slot
-        ):
+        if pte.state is not PteState.REMOTE:
+            return None
+        slot = pte.swap_slot
+        placed = slot is not None and slot >= 0
+        cluster = self.cluster
+        if placed and cluster.unreadable(slot):
             # Every replica died (or is known-bad); nothing worth
             # fetching — the demand path will zero-fill on first touch.
             return None
@@ -937,6 +941,8 @@ class Machine:
             self.prefetch_throttled += 1
             return None
         cgroup = self._cgroup_of[pid]
+        name = cgroup.name
+        resident = self._resident
         if self.config.strict_cgroup_prefetch and cgroup.charge_prefetch:
             # Strict mode: a prefetch must fit the budget's *existing*
             # headroom — it never reclaims resident pages to make room
@@ -947,17 +953,18 @@ class Machine:
                 self.prefetch_overlimit_rejects += 1
                 return None
         else:
-            self._ensure_headroom(pid)
+            if resident[name] >= cgroup.limit_pages:
+                self._ensure_headroom(pid)
             cgroup.charge(1, prefetch=True)
-        self._resident[cgroup.name] += 1
+        resident[name] += 1
         self._resident_total += 1
         pte.ppn = self.frames.allocate(pid, vpn)
-        node = self._node_for_page(pte)
+        node = cluster.primary_node(slot) if placed else cluster.nodes[0]
         try:
             completion = node.fabric.read_page(now_us)
             if self.faults is not None:
-                if pte.swap_slot is not None and pte.swap_slot >= 0:
-                    node.remote.read(pte.swap_slot, now_us=now_us)
+                if placed:
+                    node.remote.read(slot, now_us=now_us)
                 completion += node.injector.remote_delay_us(now_us)
         except TransferTimeout:
             # Prefetches are speculative: never retried, dropped with
@@ -965,7 +972,7 @@ class Machine:
             self.frames.free(pte.ppn)
             pte.ppn = -1
             cgroup.uncharge(1, prefetch=True)
-            self._resident[cgroup.name] -= 1
+            resident[name] -= 1
             self._resident_total -= 1
             self.timeouts += 1
             self.prefetch_issued += 1
@@ -982,7 +989,8 @@ class Machine:
                 )
                 bus.emit(EV_PREFETCH_DROP, now_us, tier=tier, n=1)
             return None
-        self._note_peak()
+        if self._resident_total > self.peak_resident_pages:
+            self.peak_resident_pages = self._resident_total
         pte.state = PteState.INFLIGHT
         pte.prefetched = True
         pte.prefetch_tier = tier
@@ -1117,22 +1125,29 @@ class Machine:
         return last_arrival
 
     def _process_arrivals(self, upto_us: float) -> None:
-        while self._arrivals and self._arrivals[0][0] <= upto_us:
-            arrival, _, pid, vpn = heapq.heappop(self._arrivals)
-            table = self._page_tables[pid]
-            pte = table.entry(vpn)
-            if pte.state != PteState.INFLIGHT:
+        arrivals = self._arrivals
+        tables = self._page_tables
+        cgroup_of = self._cgroup_of
+        lru_of = self._lru_of
+        telemetry = self.telemetry
+        pop = heapq.heappop
+        while arrivals and arrivals[0][0] <= upto_us:
+            arrival, _, pid, vpn = pop(arrivals)
+            table = tables[pid]
+            # PTEs are never removed, and issuing the prefetch made one.
+            pte = table._entries[vpn]
+            if pte.state is not PteState.INFLIGHT:
                 continue
             if pte.injected:
                 # Early PTE injection: map immediately, no future fault.
                 table.map_page(vpn, pte.ppn, injected=True)
-                self._release_remote_copy(pid, vpn)
+                self._release_remote_copy(pte)
             else:
                 pte.state = PteState.SWAPCACHE
                 self.swapcache.insert(pid, vpn, pte.arrival_us)
-            self._lru_of_pid(pid).insert(pid, vpn)
-            if self.telemetry is not None:
-                self.telemetry.bus.emit(
+            lru_of[cgroup_of[pid].name].insert(pid, vpn)
+            if telemetry is not None:
+                telemetry.bus.emit(
                     EV_PREFETCH_LAND, arrival,
                     pid=pid, vpn=vpn, tier=pte.prefetch_tier,
                 )
@@ -1173,7 +1188,7 @@ class Machine:
         resident = self._resident[cgroup.name]
         if resident + 1 <= cgroup.limit_pages:
             return
-        lru = self._lru_of_pid(pid)
+        lru = self._lru_of[cgroup.name]
         evicted = 0
         clean = 0
         # Stream-behind hints from the HoPP data plane go first (the
@@ -1186,131 +1201,151 @@ class Machine:
             hinted = advisor.take_victims(
                 max(goal, 0), lambda vp, vn: lru.__contains__((vp, vn))
             )
-            for victim_pid, victim_vpn in hinted:
-                clean += self._evict(victim_pid, victim_vpn)
-                evicted += 1
+            clean += self._evict_pages(hinted)
+            evicted += len(hinted)
         resident = self._resident[cgroup.name]
         victims = self.reclaimer.plan(lru, resident + 1, cgroup.limit_pages)
-        for victim_pid, victim_vpn in victims:
-            clean += self._evict(victim_pid, victim_vpn)
-            evicted += 1
+        if victims:
+            clean += self._evict_pages(victims)
+            evicted += len(victims)
         if evicted:
             self.reclaimer.account(evicted, clean)
             self.breakdown.reclaim_us += T_RECLAIM_CRITICAL_RESIDUE_US
 
-    def _evict(self, pid: int, vpn: int) -> int:
-        """Evict one resident page; returns 1 when it was a clean drop."""
-        table = self._page_tables[pid]
-        pte = table.entry(vpn)
-        lru = self._lru_of_pid(pid)
-        lru.remove(pid, vpn)
-        cgroup = self._cgroup_of[pid]
-        wasted = pte.prefetched
-        was_prefetch_charge = False
-        if pte.state == PteState.SWAPCACHE:
-            self.swapcache.drop(pid, vpn)
-            if self.telemetry is not None:
-                self.telemetry.bus.emit(
-                    EV_CACHE_INVALIDATE, self.now_us, pid=pid, vpn=vpn
-                )
-            if self._slot_is_lost(pte.swap_slot) or self._slot_is_poisoned(
-                pte.swap_slot
-            ):
-                # The remote copy died with its node (or every replica
-                # is poisoned); this swapcache page is the last good
-                # copy left.  Write it back to a fresh slot instead of
-                # clean-dropping it (that would turn a recoverable
-                # crash into data loss).
-                self._release_remote_copy(pid, vpn)
-                slot = self.swap_space.allocate(pid, vpn)
-                try:
-                    self._writeback_resilient(slot, pid, vpn)
-                except RemoteFetchFatalError:
-                    if not self.config.absorb_fatal_faults:
-                        raise
-                    # The salvage writeback burned its retry budget and
-                    # this frame is the page's last copy: keep it.  The
-                    # page promotes to PRESENT (it already left the
-                    # swapcache above) and rejoins the LRU; any replica
-                    # already written goes with the abandoned slot.
-                    self.cluster.release(slot)
-                    self.swap_space.free(slot)
-                    pte.swap_slot = -1
-                    table.map_page(vpn, pte.ppn)
-                    lru.insert(pid, vpn)
-                    self.writebacks_abandoned += 1
-                    return 0
+    def _evict_pages(self, victims) -> int:
+        """Evict resident ``(pid, vpn)`` pages in order; returns how many
+        were clean drops.
+
+        A reclaim plan evicts a whole batch, so everything the loop
+        touches per page is bound once up front.  The fault-free writeback of a
+        mapped page — the common case — stays inline; salvage, retries
+        and the armed-plan paths go through their helpers.
+        """
+        tables = self._page_tables
+        cgroup_of = self._cgroup_of
+        lru_of = self._lru_of
+        resident = self._resident
+        swap_space = self.swap_space
+        cluster = self.cluster
+        frames = self.frames
+        hopp = self.hopp
+        telemetry = self.telemetry
+        memtier = self.memtier
+        fault_prefetcher = self.fault_prefetcher
+        clean_drops = 0
+        for pid, vpn in victims:
+            table = tables[pid]
+            # PTEs are never removed, and a page on the LRU has one.
+            pte = table._entries[vpn]
+            cgroup = cgroup_of[pid]
+            lru = lru_of[cgroup.name]
+            lru.remove(pid, vpn)
+            wasted = pte.prefetched
+            state = pte.state
+            if state is PteState.SWAPCACHE:
+                self.swapcache.drop(pid, vpn)
+                if telemetry is not None:
+                    telemetry.bus.emit(
+                        EV_CACHE_INVALIDATE, self.now_us, pid=pid, vpn=vpn
+                    )
+                slot = pte.swap_slot
+                if slot is not None and slot >= 0 and cluster.unreadable(slot):
+                    # The remote copy died with its node (or every
+                    # replica is poisoned); this swapcache page is the
+                    # last good copy left.  Write it back to a fresh
+                    # slot instead of clean-dropping it (that would turn
+                    # a recoverable crash into data loss).
+                    self._release_remote_copy(pte)
+                    slot = swap_space.allocate(pid, vpn)
+                    try:
+                        self._writeback_resilient(slot, pid, vpn)
+                    except RemoteFetchFatalError:
+                        if not self.config.absorb_fatal_faults:
+                            raise
+                        # The salvage writeback burned its retry budget
+                        # and this frame is the page's last copy: keep
+                        # it.  The page promotes to PRESENT (it already
+                        # left the swapcache above) and rejoins the LRU;
+                        # any replica already written goes with the
+                        # abandoned slot.
+                        cluster.release(slot)
+                        swap_space.free(slot)
+                        pte.swap_slot = -1
+                        table.map_page(vpn, pte.ppn)
+                        lru.insert(pid, vpn)
+                        self.writebacks_abandoned += 1
+                        continue
+                    pte.swap_slot = slot
+                    self.pages_salvaged += 1
+                    self._memtier_note_writeback(slot, pid, vpn)
+                else:
+                    # Clean: the remote copy at its slot is still valid.
+                    clean_drops += 1
+                frames.free(pte.ppn)
+                pte.ppn = -1
+                pte.state = PteState.REMOTE
+                was_prefetch_charge = True
+            elif state is PteState.PRESENT:
+                ppn = pte.ppn
+                table.unmap_page(vpn)
+                slot = swap_space.allocate(pid, vpn)
+                if self.faults is None:
+                    replica = False
+                    for target in cluster.assign(slot, pid, vpn):
+                        target.remote.write(slot, pid, vpn)
+                        target.fabric.write_page(self.now_us)
+                        if replica:
+                            cluster.replica_writes += 1
+                        replica = True
+                else:
+                    try:
+                        self._writeback_resilient(slot, pid, vpn)
+                    except RemoteFetchFatalError:
+                        if not self.config.absorb_fatal_faults:
+                            raise
+                        # The writeback burned its whole retry budget:
+                        # abandon the eviction instead of losing the
+                        # page.  Replicas already written are released
+                        # with the slot, the frame stays mapped, and the
+                        # page goes back on the LRU for a later attempt.
+                        cluster.release(slot)
+                        swap_space.free(slot)
+                        table.map_page(vpn, ppn)
+                        lru.insert(pid, vpn)
+                        self.writebacks_abandoned += 1
+                        continue
                 pte.swap_slot = slot
-                self.pages_salvaged += 1
-                self._memtier_note_writeback(slot, pid, vpn)
-                clean = 0
+                if memtier is not None:
+                    self._memtier_note_writeback(slot, pid, vpn)
+                frames.free(ppn)
+                pte.state = PteState.REMOTE
+                # A PRESENT-but-never-hit page can only be an injected
+                # prefetch; it still carries its prefetch charge.
+                was_prefetch_charge = wasted
             else:
-                # Clean: the remote copy at its slot is still valid.
-                clean = 1
-            self.frames.free(pte.ppn)
-            pte.ppn = -1
-            pte.state = PteState.REMOTE
-            was_prefetch_charge = True
-        elif pte.state == PteState.PRESENT:
-            ppn = pte.ppn
-            table.unmap_page(vpn)
-            slot = self.swap_space.allocate(pid, vpn)
-            if self.faults is None:
-                for index, target in enumerate(
-                    self.cluster.assign(slot, pid, vpn)
+                # INFLIGHT pages are not on the LRU; nothing else to evict.
+                continue
+            cgroup.uncharge(
+                1, prefetch=was_prefetch_charge and not cgroup.charge_prefetch
+            )
+            resident[cgroup.name] -= 1
+            self._resident_total -= 1
+            if wasted:
+                pte.prefetched = False
+                self.prefetch_wasted += 1
+                if telemetry is not None:
+                    telemetry.bus.emit(
+                        EV_PREFETCH_UNUSED, self.now_us,
+                        pid=pid, vpn=vpn, tier=pte.prefetch_tier,
+                    )
+                if hopp is not None:
+                    hopp.on_page_evicted(pid, vpn)
+                if (
+                    fault_prefetcher is not None
+                    and pte.prefetch_tier == fault_prefetcher.name
                 ):
-                    target.remote.write(slot, pid, vpn)
-                    target.fabric.write_page(self.now_us)
-                    if index:
-                        self.cluster.replica_writes += 1
-            else:
-                try:
-                    self._writeback_resilient(slot, pid, vpn)
-                except RemoteFetchFatalError:
-                    if not self.config.absorb_fatal_faults:
-                        raise
-                    # The writeback burned its whole retry budget:
-                    # abandon the eviction instead of losing the page.
-                    # Replicas already written are released with the
-                    # slot, the frame stays mapped, and the page goes
-                    # back on the LRU for a later attempt.
-                    self.cluster.release(slot)
-                    self.swap_space.free(slot)
-                    table.map_page(vpn, ppn)
-                    lru.insert(pid, vpn)
-                    self.writebacks_abandoned += 1
-                    return 0
-            pte.swap_slot = slot
-            self._memtier_note_writeback(slot, pid, vpn)
-            self.frames.free(ppn)
-            pte.ppn = -1
-            pte.state = PteState.REMOTE
-            # A PRESENT-but-never-hit page can only be an injected
-            # prefetch; it still carries its prefetch charge.
-            was_prefetch_charge = wasted
-            clean = 0
-        else:
-            # INFLIGHT pages are not on the LRU; nothing else to evict.
-            return 0
-        cgroup.uncharge(1, prefetch=was_prefetch_charge and not cgroup.charge_prefetch)
-        self._resident[cgroup.name] -= 1
-        self._resident_total -= 1
-        if wasted:
-            pte.prefetched = False
-            self.prefetch_wasted += 1
-            if self.telemetry is not None:
-                self.telemetry.bus.emit(
-                    EV_PREFETCH_UNUSED, self.now_us,
-                    pid=pid, vpn=vpn, tier=pte.prefetch_tier,
-                )
-            if self.hopp is not None:
-                self.hopp.on_page_evicted(pid, vpn)
-            if (
-                self.fault_prefetcher is not None
-                and pte.prefetch_tier == self.fault_prefetcher.name
-            ):
-                self.fault_prefetcher.on_prefetch_wasted(pid, vpn)
-        return clean
+                    fault_prefetcher.on_prefetch_wasted(pid, vpn)
+        return clean_drops
 
     def _writeback_resilient(self, slot: int, pid: int, vpn: int) -> None:
         """Reclaim writeback with bounded retries.  Writebacks are
@@ -1386,10 +1421,10 @@ class Machine:
         )
         self.memtier.pump(self.now_us)
 
-    def _release_remote_copy(self, pid: int, vpn: int, slot: Optional[int] = None) -> None:
-        """The page is mapped locally again: drop its swap slot — every
-        replica across the cluster, so slot accounting conserves."""
-        pte = self._page_tables[pid].entry(vpn)
+    def _release_remote_copy(self, pte: Pte, slot: Optional[int] = None) -> None:
+        """The page is mapped locally again: drop its swap slot (``slot``,
+        or the PTE's own) — every replica across the cluster, so slot
+        accounting conserves."""
         slot = pte.swap_slot if slot is None else slot
         if slot is not None and slot >= 0:
             self.cluster.release(slot)

@@ -16,6 +16,7 @@ import pytest
 
 from repro.common.constants import BLOCK_SHIFT, PAGE_SHIFT
 from repro.sim import batchkernel, runner
+from repro.sim import systems as systems_mod
 from repro.sim.runner import collect, make_machine
 from repro.workloads import build
 from tests.conftest import quiet_fabric
@@ -321,3 +322,123 @@ class TestFastPathGating:
         assert collect(a, "hopp", "s").to_dict(full=True) == \
             collect(b, "hopp", "s").to_dict(full=True)
         assert a.sanitizer.checks_run > 0
+
+
+def _prototype_spec(rate):
+    """The Section V prototype wiring: a data plane subclass whose MC tap
+    feeds a software trace ring instead of the HPD directly."""
+    from repro.baselines.fastswap import FastswapPrefetcher
+    from repro.hopp.prototype import PrototypeDataPlane
+    from repro.hopp.system import HoppConfig
+    from repro.sim.machine import Machine
+    from repro.sim.systems import SystemSpec
+
+    def builder(config):
+        machine = Machine(config, fault_prefetcher=FastswapPrefetcher())
+        plane = PrototypeDataPlane(
+            machine, HoppConfig(), consume_rate_per_us=rate, ring_capacity=4096
+        )
+        machine.hopp = plane
+        machine.controller.add_tap(plane.on_mc_access)
+        return machine
+
+    return SystemSpec(name=f"hopp-proto-{rate}", builder=builder)
+
+
+SMALL_KMEANS = {"data_pages": 240, "iterations": 1}
+
+
+class TestEveryEngineReachableWiring:
+    """Default dispatch == oracle loop for every wiring ``Machine.run``
+    can send down a fast engine: each registered system, subclassed
+    data planes, and extra MC taps."""
+
+    def _pair(self, spec, **workload_kwargs):
+        workload = build("omp-kmeans", seed=5, **(workload_kwargs or SMALL_KMEANS))
+        trace = list(workload.trace())
+        results = []
+        for fast in (True, False):
+            machine = make_machine(workload, spec, 0.5, quiet_fabric(5))
+            machine.run(trace, use_fast_path=fast)
+            machine.flush_recovery()
+            results.append(collect(machine, "wired", workload.name).to_dict(full=True))
+            results.append(machine)
+        return results
+
+    @pytest.mark.parametrize("system", sorted(systems_mod.names()))
+    def test_registered_system(self, system):
+        fast, _, slow, _ = self._pair(system)
+        assert fast == slow
+
+    @pytest.mark.parametrize("rate", [1.0, 100.0])
+    def test_prototype_plane(self, rate):
+        # The prototype overrides on_mc_access; an engine that ran the
+        # HPD itself would skip its ring and drain model entirely.
+        fast, fast_machine, slow, slow_machine = self._pair(_prototype_spec(rate))
+        assert not batchkernel.supports_batch_taps(fast_machine)
+        assert fast == slow
+        assert fast_machine.hopp.records_consumed == slow_machine.hopp.records_consumed
+        assert fast_machine.hopp.records_dropped == slow_machine.hopp.records_dropped
+
+    def test_hmtt_tracer_tap(self):
+        from repro.sim.systems import build as build_system
+        from repro.sim.systems import SystemSpec
+        from repro.trace.hmtt import HmttTracer
+
+        tracers = []
+        hopp = build_system("hopp")
+
+        def builder(config):
+            machine = hopp.build(config)
+            tracer = HmttTracer()
+            tracer.attach(machine.controller)
+            tracers.append(tracer)
+            return machine
+
+        fast, _, slow, _ = self._pair(SystemSpec(name="hopp-hmtt", builder=builder))
+        assert fast == slow
+        fast_ring, slow_ring = (tracer.ring for tracer in tracers)
+        assert len(fast_ring) == len(slow_ring) > 0
+        assert fast_ring.drain() == slow_ring.drain()
+
+
+class TestChunkEngineSelection:
+    """Uniform-arity chunks must reach the vector engine on every
+    supported Python (no silent scalar fallback); mixed ones must not."""
+
+    def _engines(self, monkeypatch, trace):
+        seen = {"vector": [], "scalar": []}
+        vector = batchkernel.BatchKernel._chunk_vector
+        scalar = batchkernel.BatchKernel._chunk_scalar
+
+        def spy_vector(self, buf, *columns):
+            seen["vector"].append(len(buf))
+            return vector(self, buf, *columns)
+
+        def spy_scalar(self, buf):
+            seen["scalar"].append(len(buf))
+            return scalar(self, buf)
+
+        monkeypatch.setattr(batchkernel.BatchKernel, "_chunk_vector", spy_vector)
+        monkeypatch.setattr(batchkernel.BatchKernel, "_chunk_scalar", spy_scalar)
+        workload = build("stream-simple", seed=3, npages=64, passes=2)
+        machine = make_machine(workload, "hopp", 0.5, quiet_fabric(3))
+        machine.run(trace, chunk_size=256)
+        return seen
+
+    @pytest.mark.parametrize("arity", [2, 3])
+    def test_uniform_chunks_take_vector_engine(self, monkeypatch, arity):
+        pytest.importorskip("numpy")
+        trace = list(build("stream-simple", seed=3, npages=64, passes=2).trace())
+        if arity == 3:
+            trace = [(pid, vaddr, i % 3 == 0) for i, (pid, vaddr) in enumerate(trace)]
+        seen = self._engines(monkeypatch, trace)
+        assert seen["vector"]
+        assert all(n < batchkernel.MIN_VECTOR_CHUNK for n in seen["scalar"])
+
+    def test_mixed_chunks_take_scalar_engine(self, monkeypatch):
+        trace = with_writes(
+            list(build("stream-simple", seed=3, npages=64, passes=2).trace())
+        )
+        seen = self._engines(monkeypatch, trace)
+        assert seen["scalar"] and not seen["vector"]

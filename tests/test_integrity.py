@@ -466,7 +466,7 @@ class TestPoisonSemantics:
         old_slot = pte.swap_slot
         machine.integrity.poison(old_slot, machine.now_us, condemned=0)
         salvaged_before = machine.pages_salvaged
-        machine._evict(1, victim)
+        machine._evict_pages([(1, victim)])
         assert machine.pages_salvaged == salvaged_before + 1
         assert pte.swap_slot != old_slot
         assert not machine.cluster.is_poisoned(pte.swap_slot)
@@ -550,7 +550,7 @@ class TestLostSlotMemtierInteraction:
         machine.now_us = 1e9 + 600.0
         machine.flush_recovery()
         assert machine.cluster.is_lost(pte.swap_slot)
-        machine._evict(1, victim)
+        machine._evict_pages([(1, victim)])
         assert machine.pages_salvaged == 1
         assert pte.state == PteState.REMOTE
         holders = machine.cluster.holders_of(pte.swap_slot)
