@@ -5,8 +5,7 @@ Unlike the figure benches (which reproduce the paper's *results*), this
 one measures the reproduction *machinery*:
 
 * single-run throughput in accesses/sec: the batched kernel (default)
-  vs the legacy per-access fast loops (``kernel="legacy"``, the pre-PR
-  fast path) vs the differential oracle loop (``use_fast_path=False``);
+  vs the differential oracle loop (``use_fast_path=False``);
 * the *tapped hot loop* in steady state — resident pages whose HPD
   entries already carry the sent bit, swept page-sequentially — the
   regime the batch kernel vectorizes (and the ≥2x CI gate's metric);
@@ -79,13 +78,12 @@ def grid_specs(workloads, workload_kwargs):
     ]
 
 
-#: (label, machine.run kwargs) for the three replay engines compared by
+#: (label, machine.run kwargs) for the two replay engines compared by
 #: the single-run and hot-loop benches.  ``fast_path`` is the batched
-#: kernel (the default dispatch), ``legacy_fast_path`` the PR-4
-#: per-access loops, ``oracle_loop`` the differential slow path.
+#: kernel (the default dispatch), ``oracle_loop`` the differential
+#: per-access loop.
 MODES = (
     ("fast_path", {"use_fast_path": True}),
-    ("legacy_fast_path", {"use_fast_path": True, "kernel": "legacy"}),
     ("oracle_loop", {"use_fast_path": False}),
 )
 
@@ -128,16 +126,12 @@ def _bench_modes(make, trace, repeats):
     timings["speedup"] = (
         timings["oracle_loop"]["seconds"] / timings["fast_path"]["seconds"]
     )
-    timings["speedup_vs_legacy"] = (
-        timings["legacy_fast_path"]["seconds"]
-        / timings["fast_path"]["seconds"]
-    )
     timings["modes_identical"] = identical
     return timings
 
 
 def bench_single_run(workload_name, system, workload_kwargs, repeats=3):
-    """Accesses/sec of one simulation: batched vs legacy vs oracle."""
+    """Accesses/sec of one simulation: batched vs oracle."""
     workload = build(workload_name, seed=SEED, **workload_kwargs)
     trace = list(workload.trace())
 
@@ -181,7 +175,7 @@ def bench_hot_loop(repeats=3, sweeps=8):
 
     def make():
         machine = make_machine(workload, "hopp", 4.0, FabricConfig(seed=SEED))
-        machine.run(trace, kernel="legacy")  # map pages, set sent bits
+        machine.run(trace)  # map pages, set sent bits
         return machine
 
     return _bench_modes(make, trace, repeats)
@@ -198,7 +192,7 @@ def bench_chunk_sensitivity(repeats=3, sweeps=8, chunks=(64, 512, 4096)):
             machine = make_machine(
                 workload, "hopp", 4.0, FabricConfig(seed=SEED)
             )
-            machine.run(trace, kernel="legacy")
+            machine.run(trace)
             gc.collect()
             start = time.perf_counter()
             machine.run(trace, chunk_size=chunk)
@@ -374,10 +368,8 @@ def main(argv=None):
         singles[system] = single
         print(
             f"  batched {single['fast_path']['accesses_per_sec']:,.0f} acc/s, "
-            f"legacy {single['legacy_fast_path']['accesses_per_sec']:,.0f}, "
             f"oracle {single['oracle_loop']['accesses_per_sec']:,.0f}, "
             f"vs-oracle {single['speedup']:.2f}x, "
-            f"vs-legacy {single['speedup_vs_legacy']:.2f}x, "
             f"identical={single['modes_identical']}"
         )
 
@@ -388,10 +380,8 @@ def main(argv=None):
     )
     print(
         f"  batched {hot_loop['fast_path']['accesses_per_sec']:,.0f} acc/s, "
-        f"legacy {hot_loop['legacy_fast_path']['accesses_per_sec']:,.0f}, "
         f"oracle {hot_loop['oracle_loop']['accesses_per_sec']:,.0f}, "
         f"vs-oracle {hot_loop['speedup']:.2f}x, "
-        f"vs-legacy {hot_loop['speedup_vs_legacy']:.2f}x, "
         f"identical={hot_loop['modes_identical']}"
     )
     # The CI regression gate: the batched tapped path must clear 2x the

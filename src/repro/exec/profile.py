@@ -44,6 +44,8 @@ class ProfileReport:
     #: Unprofiled replay-loop throughput (accesses/sec) keyed by loop
     #: kind ("tapped", "untapped") — the hot-path regression signal.
     loop_acc_per_sec: Dict[str, float] = field(default_factory=dict)
+    #: The :attr:`Machine.replay_engine` each probe ran, by loop kind.
+    loop_engines: Dict[str, str] = field(default_factory=dict)
 
     def share(self, component: str) -> float:
         if self.total_s <= 0:
@@ -76,8 +78,11 @@ def classify(filename: str) -> str:
 LOOP_PROBE_ACCESSES = 200_000
 
 
-def loop_throughput(spec: RunSpec, max_accesses: int = LOOP_PROBE_ACCESSES) -> Dict[str, float]:
-    """Accesses/sec of the spec's replay loops, measured unprofiled.
+def loop_throughput(
+    spec: RunSpec, max_accesses: int = LOOP_PROBE_ACCESSES
+) -> Tuple[Dict[str, float], Dict[str, str]]:
+    """Accesses/sec of the spec's replay loops, measured unprofiled,
+    and the replay engine each probe ran.
 
     Replays (a prefix of) the spec's trace on a fresh machine through
     the loop its tap wiring selects — "tapped" for systems with an MC
@@ -97,6 +102,7 @@ def loop_throughput(spec: RunSpec, max_accesses: int = LOOP_PROBE_ACCESSES) -> D
     if len(trace) > max_accesses:
         trace = trace[:max_accesses]
     out: Dict[str, float] = {}
+    engines: Dict[str, str] = {}
     probes = []
     base = make_machine(workload, spec.system, spec.fraction, spec.fabric)
     if base.controller._taps:
@@ -112,7 +118,8 @@ def loop_throughput(spec: RunSpec, max_accesses: int = LOOP_PROBE_ACCESSES) -> D
         machine.run(trace)
         elapsed = time.perf_counter() - start
         out[label] = len(trace) / elapsed if elapsed > 0 else 0.0
-    return out
+        engines[label] = machine.replay_engine
+    return out, engines
 
 
 def profile_spec(spec: RunSpec) -> ProfileReport:
@@ -128,7 +135,11 @@ def profile_spec(spec: RunSpec) -> ProfileReport:
         bucket = classify(filename)
         seconds[bucket] = seconds.get(bucket, 0.0) + tottime
         total += tottime
-    loops = loop_throughput(spec)
+    loops, engines = loop_throughput(spec)
     return ProfileReport(
-        total_s=total, seconds=seconds, result=result, loop_acc_per_sec=loops
+        total_s=total,
+        seconds=seconds,
+        result=result,
+        loop_acc_per_sec=loops,
+        loop_engines=engines,
     )

@@ -31,7 +31,6 @@ from repro.cluster.health import (
 from repro.cluster.repair import RepairConfig, RepairEngine
 from repro.common.constants import (
     BLOCK_SHIFT,
-    BLOCK_SIZE,
     PAGE_SHIFT,
     T_CONTEXT_SWITCH_US,
     T_DRAM_HIT_US,
@@ -299,6 +298,9 @@ class Machine:
         #: priority lane — the degradation ladder's deepest rung: a
         #: degraded best-effort tenant queues behind prefetch traffic.
         self.deprioritized_pids: set = set()
+        #: Which engine the last :meth:`run` replayed through:
+        #: ``"batched"``, or ``"oracle: <reason>"``; None before any run.
+        self.replay_engine: Optional[str] = None
 
         # Counters surfaced to RunResult.
         self.accesses = 0
@@ -400,228 +402,106 @@ class Machine:
 
     def access(self, pid: int, vaddr: int, is_write: bool = False) -> float:
         """Drive one cacheline reference through the VM stack; returns
-        the critical-path cost charged to the application."""
-        self.accesses += 1
-        if self._arrivals and self._arrivals[0][0] <= self.now_us:
-            self._process_arrivals(self.now_us)
+        the critical-path cost charged to the application.
+
+        This is the only definition of a fault: the oracle loop calls
+        it for every reference and the batch kernel for every residency
+        miss.  Only this method advances ``now_us``, so it is read once
+        and written once."""
+        self.accesses = accesses = self.accesses + 1
+        now = self.now_us
+        arrivals = self._arrivals
+        if arrivals and arrivals[0][0] <= now:
+            self._process_arrivals(now)
         if self.health is not None:
-            self._apply_health_events(self.health.tick(self.now_us))
-            self.repair.pump(self.now_us)
+            self._apply_health_events(self.health.tick(now))
+            self.repair.pump(now)
         if self.sanitizer is not None and (
             self._sanitize_after_recovery
-            or self.accesses % self.config.sanitizer_interval_accesses == 0
+            or accesses % self.config.sanitizer_interval_accesses == 0
         ):
             self._sanitize_after_recovery = False
             self.sanitizer.check()
 
         vpn = vaddr >> PAGE_SHIFT
         table = self._page_tables[pid]
-        pte = table.entry(vpn)
+        pte = table._entries.get(vpn)
+        if pte is None:
+            pte = table.entry(vpn)
         state = pte.state
 
-        if state == PteState.PRESENT:
+        if state is PteState.PRESENT:
             cost = T_DRAM_HIT_US
             self.breakdown.dram_hit_us += cost
-            self._lru_of_pid(pid).touch(pid, vpn)
+            self._lru_of[self._cgroup_of[pid].name].touch(pid, vpn)
             if pte.prefetched:
                 self._count_prefetch_hit(pid, vpn, pte, "dram")
-        elif state == PteState.UNTOUCHED:
+        elif state is PteState.UNTOUCHED:
             cost = self._minor_fault(pid, vpn, table, pte)
-        elif state == PteState.SWAPCACHE:
+        elif state is PteState.SWAPCACHE:
             cost = self._swapcache_hit(pid, vpn, table, pte)
-        elif state == PteState.INFLIGHT:
+        elif state is PteState.INFLIGHT:
             cost = self._inflight_hit(pid, vpn, table, pte)
         else:  # PteState.REMOTE
             cost = self._major_fault(pid, vpn, table, pte)
 
-        cost += self.config.compute_us_per_access
-        self.compute_us += self.config.compute_us_per_access
-        self.now_us += cost
+        compute = self.config.compute_us_per_access
+        cost += compute
+        self.compute_us += compute
+        self.now_us = now = now + cost
         # The resolved access reaches DRAM through the MC (the HoPP tap).
         paddr = (pte.ppn << PAGE_SHIFT) | (vaddr & PAGE_OFFSET_MASK)
-        self.controller.access(self.now_us, paddr, is_write)
+        self.controller.access(now, paddr, is_write)
         return cost
 
     def run(
         self,
         trace,
-        progress_every: int = 0,
         use_fast_path: bool = True,
-        kernel: Optional[str] = None,
         chunk_size: Optional[int] = None,
     ) -> None:
         """Drive a whole (pid, vaddr) or (pid, vaddr, is_write) trace.
 
-        Resident hits bypass the full fault machinery of :meth:`access`:
-        by default through the chunked batch kernel
-        (:mod:`repro.sim.batchkernel`), which scans ahead to the next
+        Two replay engines, both exact.  By default the chunked batch
+        kernel (:mod:`repro.sim.batchkernel`) scans ahead to the next
         barrier (due arrival, residency miss, HPD extraction, chunk
-        edge) and retires whole same-page runs with O(1) bookkeeping;
-        ``kernel="legacy"`` selects the PR-4 per-access loops instead
-        (kept as the bench's pre-batching comparator and as the
-        fallback for tap wirings the batch kernel does not understand).
-        Every fast path repeats :meth:`access`'s arithmetic
+        edge), retires whole same-page runs of resident hits with O(1)
+        bookkeeping, and sends every residency miss through
+        :meth:`access`.  Otherwise every reference goes through
+        :meth:`access` one by one: the differential oracle.  The oracle
+        runs when ``use_fast_path=False``, when the health monitor or
+        the sanitizer is armed (their per-access epoch work admits no
+        shortcut), and when the MC tap wiring is anything but the stock
+        HoPP data plane's (:func:`batchkernel.supports_batch_taps`).
+        The kernel repeats :meth:`access`'s arithmetic
         operation-for-operation (same values, same order of float
         additions), so every counter and timestamp stays byte-identical
-        to the slow path — pinned by tests/test_fastpath.py.
-        ``use_fast_path=False`` forces every reference through
-        :meth:`access` (the differential oracle).  ``chunk_size``
-        overrides the batch kernel's scan-ahead window (testing knob).
+        to the oracle's — pinned by tests/test_fastpath.py.
+        ``chunk_size`` overrides the kernel's scan-ahead window (testing
+        knob).  :attr:`replay_engine` records which engine ran, and why
+        the oracle did.
         """
-        if (
-            not use_fast_path
-            or self.health is not None
-            or self.sanitizer is not None
-        ):
-            # Armed recovery or an armed sanitizer needs the per-access
-            # epoch work in access(); no shortcut is sound.
-            access = self.access
-            for item in trace:
-                if len(item) == 3:
-                    access(item[0], item[1], item[2])
-                else:
-                    access(item[0], item[1])
-            return
-        # Taps register at machine assembly (HoPP data plane, tracers),
-        # never mid-run; pick the loop specialized for the wiring.
-        batch = kernel != "legacy"
-        if self.controller._taps:
-            if batch and batchkernel.supports_batch_taps(self):
-                batchkernel.BatchKernel(self, self.hopp, chunk_size).run(trace)
-            else:
-                self._run_fast_tapped(trace, self.controller._taps)
+        taps = self.controller._taps
+        if not use_fast_path:
+            reason = "use_fast_path=False"
+        elif self.health is not None:
+            reason = "health armed"
+        elif self.sanitizer is not None:
+            reason = "sanitizer armed"
+        elif taps and not batchkernel.supports_batch_taps(self):
+            reason = "non-stock MC tap"
         else:
-            if batch:
-                batchkernel.BatchKernel(self, None, chunk_size).run(trace)
-            else:
-                self._run_fast_untapped(trace)
-
-    def _fast_bindings(self):
-        """Loop-stable locals shared by both fast-path loops."""
-        #: pid -> (page-table entry dict, cgroup LRU); cgroup membership
-        #: is fixed after register_process, so the binding is loop-stable.
-        hot: Dict[int, tuple] = {}
-        return (
-            self.access,
-            self.config.compute_us_per_access,
-            self._arrivals,
-            self._page_tables,
-            PteState.PRESENT,
-            hot,
-        )
-
-    def _run_fast_tapped(self, trace, taps) -> None:
-        """Fast-path loop for machines with MC taps (HoPP, tracers).
-
-        Machine state (``now_us``, ``accesses``) is written back before
-        every tap call: taps re-enter the machine (the HoPP executor
-        issues prefetches from inside the tap), so it must always be
-        current.  Only the MC's own counters are batched — no tap reads
-        them mid-run.
-        """
-        access, compute, arrivals, tables, present, hot = self._fast_bindings()
-        breakdown = self.breakdown
-        controller = self.controller
-        mc_reads = 0
-        mc_writes = 0
+            self.replay_engine = "batched"
+            plane = self.hopp if taps else None
+            batchkernel.BatchKernel(self, plane, chunk_size).run(trace)
+            return
+        self.replay_engine = f"oracle: {reason}"
+        access = self.access
         for item in trace:
             if len(item) == 3:
-                pid, vaddr, is_write = item
+                access(item[0], item[1], item[2])
             else:
-                pid, vaddr = item
-                is_write = False
-            if not arrivals or arrivals[0][0] > self.now_us:
-                cached = hot.get(pid)
-                if cached is None:
-                    cached = hot[pid] = (
-                        tables[pid]._entries,
-                        self._lru_of_pid(pid),
-                    )
-                vpn = vaddr >> PAGE_SHIFT
-                pte = cached[0].get(vpn)
-                if pte is not None and pte.state is present and not pte.prefetched:
-                    self.accesses += 1
-                    cost = T_DRAM_HIT_US
-                    breakdown.dram_hit_us += cost
-                    cached[1].touch(pid, vpn)
-                    cost += compute
-                    self.compute_us += compute
-                    now = self.now_us + cost
-                    self.now_us = now
-                    if is_write:
-                        mc_writes += 1
-                    else:
-                        mc_reads += 1
-                    paddr = (pte.ppn << PAGE_SHIFT) | (vaddr & PAGE_OFFSET_MASK)
-                    for tap in taps:
-                        tap(now, paddr, is_write)
-                    continue
-            access(pid, vaddr, is_write)
-        controller.reads += mc_reads
-        controller.writes += mc_writes
-        controller.bytes_transferred += (mc_reads + mc_writes) * BLOCK_SIZE
-
-    def _run_fast_untapped(self, trace) -> None:
-        """Fast-path loop for tap-free machines (the baselines).
-
-        With no tap there is no re-entry, so the hot counters live in
-        locals for the whole run and are flushed around every slow-path
-        excursion.  Each flush/reload preserves the exact sequence of
-        float additions — only where the intermediate sums are stored
-        changes, never their values.
-        """
-        access, compute, arrivals, tables, present, hot = self._fast_bindings()
-        breakdown = self.breakdown
-        controller = self.controller
-        now = self.now_us
-        accesses = self.accesses
-        compute_us = self.compute_us
-        dram_us = breakdown.dram_hit_us
-        mc_reads = 0
-        mc_writes = 0
-        for item in trace:
-            if len(item) == 3:
-                pid, vaddr, is_write = item
-            else:
-                pid, vaddr = item
-                is_write = False
-            if not arrivals or arrivals[0][0] > now:
-                cached = hot.get(pid)
-                if cached is None:
-                    cached = hot[pid] = (
-                        tables[pid]._entries,
-                        self._lru_of_pid(pid),
-                    )
-                pte = cached[0].get(vaddr >> PAGE_SHIFT)
-                if pte is not None and pte.state is present and not pte.prefetched:
-                    accesses += 1
-                    cost = T_DRAM_HIT_US
-                    dram_us += cost
-                    cached[1].touch(pid, vaddr >> PAGE_SHIFT)
-                    cost += compute
-                    compute_us += compute
-                    now += cost
-                    if is_write:
-                        mc_writes += 1
-                    else:
-                        mc_reads += 1
-                    continue
-            self.now_us = now
-            self.accesses = accesses
-            self.compute_us = compute_us
-            breakdown.dram_hit_us = dram_us
-            access(pid, vaddr, is_write)
-            now = self.now_us
-            accesses = self.accesses
-            compute_us = self.compute_us
-            dram_us = breakdown.dram_hit_us
-        self.now_us = now
-        self.accesses = accesses
-        self.compute_us = compute_us
-        breakdown.dram_hit_us = dram_us
-        controller.reads += mc_reads
-        controller.writes += mc_writes
-        controller.bytes_transferred += (mc_reads + mc_writes) * BLOCK_SIZE
+                access(item[0], item[1])
 
     # -- fault paths -----------------------------------------------------------------
 

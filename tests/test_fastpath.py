@@ -183,16 +183,6 @@ class TestBatchKernelAdversarial:
         machine.flush_recovery()
         assert collect(machine, "hopp", "adv").to_dict(full=True) == want
 
-    def test_legacy_kernel_matches_batched(self):
-        workload = build("stream-simple", seed=3)
-        trace = page_sweep_trace(workload)
-        a = make_machine(workload, "hopp", 0.5, quiet_fabric(3))
-        a.run(trace)
-        b = make_machine(workload, "hopp", 0.5, quiet_fabric(3))
-        b.run(trace, kernel="legacy")
-        assert collect(a, "hopp", "adv").to_dict(full=True) == \
-            collect(b, "hopp", "adv").to_dict(full=True)
-
 
 class TestBatchPrimitives:
     """The kernel's building blocks against their per-access originals."""
@@ -204,7 +194,6 @@ class TestBatchPrimitives:
         import numpy as np
 
         rng = random.Random(7)
-        seq_buf = np.empty(5001)
         buf3 = np.empty((3, 5001))
         for _ in range(200):
             k = rng.choice([0, 1, 31, 32, 33, 64, 1000, 4096])
@@ -215,16 +204,11 @@ class TestBatchPrimitives:
                 for _ in range(k):
                     x += c
                 want.append(x)
-            got1 = [
-                batchkernel._seq_add(x, c, k, seq_buf, np.cumsum)
-                for x, c in zip(starts, consts)
-            ]
-            got3 = list(batchkernel._seq_add3(
+            got = list(batchkernel._seq_add3(
                 starts[0], starts[1], starts[2],
                 consts[0], consts[1], consts[2], k, buf3,
             ))
-            assert got1 == want
-            assert got3 == want
+            assert got == want
 
     def test_hpd_process_run_equivalence(self):
         from repro.hopp.hpd import HotPageDetector
@@ -403,42 +387,136 @@ class TestEveryEngineReachableWiring:
 
 
 class TestChunkEngineSelection:
-    """Uniform-arity chunks must reach the vector engine on every
-    supported Python (no silent scalar fallback); mixed ones must not."""
+    """Every chunk reaches the one chunk engine: uniform arities,
+    mixed 2-/3-tuple chunks, and tails shorter than 16 accesses."""
 
-    def _engines(self, monkeypatch, trace):
-        seen = {"vector": [], "scalar": []}
+    def _chunks(self, monkeypatch, trace, chunk_size):
+        seen = []
         vector = batchkernel.BatchKernel._chunk_vector
-        scalar = batchkernel.BatchKernel._chunk_scalar
 
-        def spy_vector(self, buf, *columns):
-            seen["vector"].append(len(buf))
-            return vector(self, buf, *columns)
-
-        def spy_scalar(self, buf):
-            seen["scalar"].append(len(buf))
-            return scalar(self, buf)
+        def spy_vector(self, *columns):
+            seen.append(len(columns[0]))
+            return vector(self, *columns)
 
         monkeypatch.setattr(batchkernel.BatchKernel, "_chunk_vector", spy_vector)
-        monkeypatch.setattr(batchkernel.BatchKernel, "_chunk_scalar", spy_scalar)
         workload = build("stream-simple", seed=3, npages=64, passes=2)
         machine = make_machine(workload, "hopp", 0.5, quiet_fabric(3))
-        machine.run(trace, chunk_size=256)
+        machine.run(trace, chunk_size=chunk_size)
+        assert machine.accesses == len(trace)
         return seen
+
+    @staticmethod
+    def _trace():
+        return list(build("stream-simple", seed=3, npages=64, passes=2).trace())
 
     @pytest.mark.parametrize("arity", [2, 3])
     def test_uniform_chunks_take_vector_engine(self, monkeypatch, arity):
-        pytest.importorskip("numpy")
-        trace = list(build("stream-simple", seed=3, npages=64, passes=2).trace())
+        trace = self._trace()
         if arity == 3:
             trace = [(pid, vaddr, i % 3 == 0) for i, (pid, vaddr) in enumerate(trace)]
-        seen = self._engines(monkeypatch, trace)
-        assert seen["vector"]
-        assert all(n < batchkernel.MIN_VECTOR_CHUNK for n in seen["scalar"])
+        seen = self._chunks(monkeypatch, trace, 256)
+        assert sum(seen) == len(trace)
 
-    def test_mixed_chunks_take_scalar_engine(self, monkeypatch):
-        trace = with_writes(
-            list(build("stream-simple", seed=3, npages=64, passes=2).trace())
-        )
-        seen = self._engines(monkeypatch, trace)
-        assert seen["scalar"] and not seen["vector"]
+    def test_mixed_chunks_take_vector_engine(self, monkeypatch):
+        trace = with_writes(self._trace())
+        assert {len(item) for item in trace[:256]} == {2, 3}
+        seen = self._chunks(monkeypatch, trace, 256)
+        assert sum(seen) == len(trace)
+
+    def test_short_tail_chunks_take_vector_engine(self, monkeypatch):
+        trace = with_writes(self._trace())
+        trace = trace[: 3 * 100 + 5]
+        seen = self._chunks(monkeypatch, trace, 100)
+        assert seen == [100, 100, 100, 5]
+
+
+def _multichannel_spec():
+    """Stock HoPP with a two-channel interleaved HPD: the batch kernel's
+    ``MultiChannelHpd.process_batch`` branch."""
+    from repro.baselines.fastswap import FastswapPrefetcher
+    from repro.hopp.system import HoppConfig, HoppDataPlane
+    from repro.sim.machine import Machine
+    from repro.sim.systems import SystemSpec
+
+    def builder(config):
+        machine = Machine(config, fault_prefetcher=FastswapPrefetcher())
+        plane = HoppDataPlane(machine, HoppConfig(mc_channels=2))
+        machine.hopp = plane
+        machine.controller.add_tap(plane.on_mc_access)
+        return machine
+
+    return SystemSpec(name="hopp-2ch", builder=builder)
+
+
+class TestMultiChannelKernel:
+    """The vector engine's multi-channel HPD branch == the oracle."""
+
+    @pytest.mark.parametrize("chunk", [None, 1, 15, 64])
+    @pytest.mark.parametrize("writes", [False, True])
+    def test_matches_oracle(self, chunk, writes):
+        from repro.hopp.hpd import MultiChannelHpd
+
+        workload = build("stream-simple", seed=3)
+        trace = page_sweep_trace(workload)
+        if writes:
+            trace = with_writes(trace, every=7)
+        results = []
+        for fast in (True, False):
+            machine = make_machine(workload, _multichannel_spec(), 0.5,
+                                   quiet_fabric(3))
+            machine.run(trace, use_fast_path=fast, chunk_size=chunk)
+            machine.flush_recovery()
+            results.append(collect(machine, "hopp-2ch", "mc").to_dict(full=True))
+            if fast:
+                assert type(machine.hopp.hpd) is MultiChannelHpd
+                assert machine.replay_engine == "batched"
+                hot_pages = machine.hopp.hpd.hot_pages
+            else:
+                assert machine.hopp.hpd.hot_pages == hot_pages > 0
+        assert results[0] == results[1]
+
+
+class TestReplayEngine:
+    """``Machine.replay_engine`` names the engine each wiring takes."""
+
+    def _engine(self, spec, **machine_kwargs):
+        workload = build("stream-simple", seed=3, npages=64, passes=1)
+        machine = make_machine(workload, spec, 0.5, quiet_fabric(3),
+                               **machine_kwargs)
+        assert machine.replay_engine is None
+        machine.run(list(workload.trace()))
+        return machine.replay_engine
+
+    @pytest.mark.parametrize("system", ["hopp", "noprefetch"])
+    def test_stock_systems_batched(self, system):
+        assert self._engine(system) == "batched"
+
+    def test_prototype_plane_oracle(self):
+        assert self._engine(_prototype_spec(1.0)) == "oracle: non-stock MC tap"
+
+    def test_hmtt_tracer_oracle(self):
+        from repro.sim.systems import SystemSpec
+        from repro.sim.systems import build as build_system
+        from repro.trace.hmtt import HmttTracer
+
+        hopp = build_system("hopp")
+
+        def builder(config):
+            machine = hopp.build(config)
+            HmttTracer().attach(machine.controller)
+            return machine
+
+        spec = SystemSpec(name="hopp-hmtt", builder=builder)
+        assert self._engine(spec) == "oracle: non-stock MC tap"
+
+    def test_armed_and_forced_oracle(self):
+        from repro.net.faults import FaultPlan
+
+        assert self._engine("hopp", fault_plan=FaultPlan.none()) == \
+            "oracle: health armed"
+        assert self._engine("hopp", check_invariants=True) == \
+            "oracle: sanitizer armed"
+        workload = build("stream-simple", seed=3, npages=64, passes=1)
+        machine = make_machine(workload, "hopp", 0.5, quiet_fabric(3))
+        machine.run(list(workload.trace()), use_fast_path=False)
+        assert machine.replay_engine == "oracle: use_fast_path=False"
