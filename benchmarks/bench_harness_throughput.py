@@ -10,6 +10,10 @@ one measures the reproduction *machinery*:
   entries already carry the sent bit, swept page-sequentially — the
   regime the batch kernel vectorizes (and the ≥2x CI gate's metric);
 * chunk-size sensitivity of the batch kernel on that hot loop;
+* an *armed run* — quicksort under fastswap at 0.25 on 3 nodes with
+  replication 2 and a crash-rejoin fault plan — batched vs oracle, the
+  regime where heartbeats, repair issue and the sanitizer are the
+  kernel's timed barriers;
 * a 16-point sweep grid executed serially vs ``--jobs N`` — the
   process-pool speedup (skipped on 1-core boxes, where it would only
   measure pool overhead);
@@ -19,7 +23,8 @@ one measures the reproduction *machinery*:
 Emits ``BENCH_harness.json`` next to the repo root (or ``--out``) so CI
 can archive throughput over time.  ``--quick`` shrinks the workloads
 for smoke use; published numbers should come from a default run.  Exit
-status is non-zero when any equivalence check fails or the batched
+status is non-zero when any equivalence check fails (the armed run
+compares full results, recovery state included) or the batched
 tapped hot loop runs below 2x the oracle loop (a loose floor that holds
 even on 1-core CI).
 
@@ -41,12 +46,14 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
+from repro.cluster.cluster import ClusterConfig
 from repro.common.constants import BLOCK_SHIFT, PAGE_SHIFT
 from repro.exec.cache import ResultCache, TraceCache
 from repro.exec.pool import execute
 from repro.exec.spec import RunSpec
+from repro.net.faults import FaultPlan
 from repro.net.rdma import FabricConfig
-from repro.sim.runner import make_machine
+from repro.sim.runner import collect, make_machine
 from repro.telemetry import TelemetryConfig
 from repro.workloads import build
 
@@ -88,13 +95,19 @@ MODES = (
 )
 
 
-def _bench_modes(make, trace, repeats):
+def _machine_state(machine):
+    return (machine.now_us, machine.accesses, machine.compute_us,
+            machine.minor_faults, machine.remote_demand_reads)
+
+
+def _bench_modes(make, trace, repeats, state_of=_machine_state):
     """Min-of-N interleaved timings of ``machine.run(trace)`` per mode.
 
     Interleaving keeps each round's modes exposed to the same transient
     machine noise; the min over rounds is the least noise-contaminated
     estimate of each loop's true cost on a shared box.  Also verifies
-    every mode retires the trace to the identical machine state."""
+    every mode retires the trace to the identical machine state
+    (``state_of``, taken after the timed region)."""
     results = {}
     one_machine = None
     for label, kwargs in MODES:
@@ -109,8 +122,7 @@ def _bench_modes(make, trace, repeats):
             start = time.perf_counter()
             machine.run(trace, **kwargs)
             results[label].append(time.perf_counter() - start)
-            state = (machine.now_us, machine.accesses, machine.compute_us,
-                     machine.minor_faults, machine.remote_demand_reads)
+            state = state_of(machine)
             if one_machine is None:
                 one_machine = state
             elif state != one_machine:
@@ -139,6 +151,35 @@ def bench_single_run(workload_name, system, workload_kwargs, repeats=3):
         return make_machine(workload, system, 0.5, FabricConfig(seed=SEED))
 
     return _bench_modes(make, trace, repeats)
+
+
+def _armed_state(machine):
+    """The full result of an armed run, recovery converged."""
+    machine.flush_recovery()
+    return (
+        collect(machine, "armed", "armed").to_dict(full=True),
+        machine.health.transitions,
+        machine.repair.stats_snapshot(),
+    )
+
+
+def bench_armed_run(repeats=3):
+    """Accesses/sec of an armed run: batched (timed barriers) vs oracle.
+
+    The whole-run benchmark's ``crash-swap`` point: quicksort under
+    fastswap at 0.25, 3 nodes, replication 2, ``FaultPlan.crash_rejoin``
+    — the health monitor and repair engine are armed throughout, and
+    the node crash and rejoin both land mid-run."""
+    workload = build("quicksort", seed=SEED)
+    trace = list(workload.trace())
+
+    def make():
+        return make_machine(
+            workload, "fastswap", 0.25, FabricConfig(seed=SEED),
+            FaultPlan.crash_rejoin(SEED), ClusterConfig(nodes=3, replication=2),
+        )
+
+    return _bench_modes(make, trace, repeats, state_of=_armed_state)
 
 
 def hot_loop_trace(workload, npages=64, sweeps=8):
@@ -392,6 +433,16 @@ def main(argv=None):
     )
     print(f"  throughput gate (>=2x oracle): ok={throughput_gate_ok}")
 
+    print("armed run (quicksort/fastswap@0.25, 3 nodes x2, crash-rejoin) ...",
+          flush=True)
+    armed = bench_armed_run(repeats=1 if args.quick else 3)
+    print(
+        f"  batched {armed['fast_path']['accesses_per_sec']:,.0f} acc/s, "
+        f"oracle {armed['oracle_loop']['accesses_per_sec']:,.0f}, "
+        f"vs-oracle {armed['speedup']:.2f}x, "
+        f"identical={armed['modes_identical']}"
+    )
+
     print("chunk-size sensitivity (batched kernel, hot loop) ...", flush=True)
     chunk_sensitivity = bench_chunk_sensitivity(
         repeats=1 if args.quick else 3, sweeps=4 if args.quick else 8
@@ -469,6 +520,7 @@ def main(argv=None):
         },
         "single_run": singles,
         "tapped_hot_loop": hot_loop,
+        "armed_run": armed,
         "chunk_sensitivity": chunk_sensitivity,
         "throughput_gate": {
             "metric": "tapped_hot_loop.speedup (batched vs oracle)",
@@ -489,6 +541,7 @@ def main(argv=None):
         and cache["warm_equals_cold"]
         and telemetry_ok
         and throughput_gate_ok
+        and armed["modes_identical"]
         and all(s["modes_identical"] for s in singles.values())
     )
     return 0 if ok else 1

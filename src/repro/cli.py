@@ -35,6 +35,7 @@ from repro.exec.spec import RunSpec
 from repro.net.faults import FaultPlan
 from repro.net.rdma import FabricConfig
 from repro.sim import runner, systems
+from repro.sim.batchkernel import BARRIER_KINDS
 from repro.telemetry import TelemetryConfig, chrome_trace, prometheus_snapshot
 from repro.trace.hmtt import HmttTracer
 from repro.trace.persist import load_trace, write_trace
@@ -686,6 +687,15 @@ def _cmd_run(args) -> int:
             print(render_table(
                 ["replay loop", "engine", "accesses/sec"], loop_rows,
                 title="replay-loop throughput (unprofiled probe)",
+            ))
+            loops = sorted(report.loop_barriers)
+            print(render_table(
+                ["barrier"] + loops,
+                [
+                    [kind] + [report.loop_barriers[loop][kind] for loop in loops]
+                    for kind in BARRIER_KINDS
+                ],
+                title="batch-kernel barriers by kind (same probes)",
             ))
     return 0
 

@@ -134,6 +134,12 @@ class HealthMonitor:
     def state(self, node_id: int) -> NodeState:
         return self._states[node_id]
 
+    @property
+    def next_heartbeat_us(self) -> float:
+        """Simulated time of the next scheduled heartbeat: the first
+        :meth:`tick` at or past it probes the cluster."""
+        return self._next_heartbeat_us
+
     def is_placeable(self, node_id: int) -> bool:
         """New copies may land here (UP/SUSPECT/REJOINING, not standby)."""
         if node_id in self._standby:

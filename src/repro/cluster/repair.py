@@ -105,6 +105,13 @@ class RepairEngine:
         return not self._queue
 
     @property
+    def next_issue_us(self) -> float:
+        """Earliest simulated time the rate limiter lets :meth:`pump`
+        issue its next page copy (or, with the queue empty, a scrub
+        audit)."""
+        return self._next_issue_us
+
+    @property
     def pending_tasks(self) -> int:
         return len(self._queue)
 

@@ -46,6 +46,8 @@ class ProfileReport:
     loop_acc_per_sec: Dict[str, float] = field(default_factory=dict)
     #: The :attr:`Machine.replay_engine` each probe ran, by loop kind.
     loop_engines: Dict[str, str] = field(default_factory=dict)
+    #: Each probe's :attr:`Machine.replay_barriers`, by loop kind.
+    loop_barriers: Dict[str, Dict[str, int]] = field(default_factory=dict)
 
     def share(self, component: str) -> float:
         if self.total_s <= 0:
@@ -80,9 +82,9 @@ LOOP_PROBE_ACCESSES = 200_000
 
 def loop_throughput(
     spec: RunSpec, max_accesses: int = LOOP_PROBE_ACCESSES
-) -> Tuple[Dict[str, float], Dict[str, str]]:
+) -> Tuple[Dict[str, float], Dict[str, str], Dict[str, Dict[str, int]]]:
     """Accesses/sec of the spec's replay loops, measured unprofiled,
-    and the replay engine each probe ran.
+    with the replay engine and the barrier counts of each probe.
 
     Replays (a prefix of) the spec's trace on a fresh machine through
     the loop its tap wiring selects — "tapped" for systems with an MC
@@ -90,9 +92,11 @@ def loop_throughput(
     systems, once more with the taps detached so both loop kinds are
     visible per system.  The untapped probe of a tapped system is a
     *throughput* number only (its simulation results are discarded; a
-    detached tap never feeds the HPD).  Armed extras (fault plans,
-    telemetry, cluster) are deliberately left out: they force the exact
-    per-access slow loop, whose cost the component table already shows.
+    detached tap never feeds the HPD).  The probe machines carry the
+    spec's fault plan, cluster, patrol scrubber and
+    ``check_invariants``, so an armed spec is probed on the engine (and
+    with the timed barriers) it really replays with.  Telemetry is left
+    out: probes observe, they never change the engine.
     """
     from repro.sim.runner import make_machine
     from repro.workloads import build
@@ -103,15 +107,23 @@ def loop_throughput(
         trace = trace[:max_accesses]
     out: Dict[str, float] = {}
     engines: Dict[str, str] = {}
+    barriers: Dict[str, Dict[str, int]] = {}
+
+    def probe_machine():
+        return make_machine(
+            workload, spec.system, spec.fraction, spec.fabric,
+            spec.fault_plan, spec.cluster,
+            check_invariants=spec.check_invariants, scrub=spec.scrub,
+        )
+
     probes = []
-    base = make_machine(workload, spec.system, spec.fraction, spec.fabric)
-    if base.controller._taps:
+    if probe_machine().controller._taps:
         probes.append(("tapped", False))
         probes.append(("untapped", True))
     else:
         probes.append(("untapped", False))
     for label, detach in probes:
-        machine = make_machine(workload, spec.system, spec.fraction, spec.fabric)
+        machine = probe_machine()
         if detach:
             machine.controller._taps = []
         start = time.perf_counter()
@@ -119,7 +131,8 @@ def loop_throughput(
         elapsed = time.perf_counter() - start
         out[label] = len(trace) / elapsed if elapsed > 0 else 0.0
         engines[label] = machine.replay_engine
-    return out, engines
+        barriers[label] = dict(machine.replay_barriers)
+    return out, engines, barriers
 
 
 def profile_spec(spec: RunSpec) -> ProfileReport:
@@ -135,11 +148,12 @@ def profile_spec(spec: RunSpec) -> ProfileReport:
         bucket = classify(filename)
         seconds[bucket] = seconds.get(bucket, 0.0) + tottime
         total += tottime
-    loops, engines = loop_throughput(spec)
+    loops, engines, barriers = loop_throughput(spec)
     return ProfileReport(
         total_s=total,
         seconds=seconds,
         result=result,
         loop_acc_per_sec=loops,
         loop_engines=engines,
+        loop_barriers=barriers,
     )

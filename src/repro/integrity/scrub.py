@@ -295,6 +295,11 @@ class PatrolScrubber:
         self._next_scrub_us = 0.0
         self._cursor = 0
 
+    @property
+    def next_scrub_us(self) -> float:
+        """Simulated time from which the next audit is :meth:`due`."""
+        return self._next_scrub_us
+
     def due(self, now_us: float) -> bool:
         return now_us >= self._next_scrub_us
 

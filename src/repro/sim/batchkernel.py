@@ -8,6 +8,10 @@ state is frozen:
 
 * no prefetch arrival is due (the arrivals heap only changes inside
   :meth:`Machine.access` excursions and prefetch issue),
+* no timed event is due: the health monitor's heartbeat, the repair
+  engine's next issue (or patrol-scrub audit), both folded into
+  :meth:`Machine.next_event_us`, and the sanitizer's next sweep, an
+  access-count deadline,
 * residency cannot change (only faults, prefetch issue/arrival, and
   eviction move PTEs, and all of those happen inside
   :meth:`Machine.access` or the HoPP extraction pipeline),
@@ -15,10 +19,11 @@ state is frozen:
 
 So the trace is scanned ahead into *same-page runs* — maximal spans of
 consecutive accesses by one pid to one vpn — bounded by the next
-barrier: the chunk edge, a due prefetch arrival (computed as a
-conservative closed-form access budget, below), a residency miss, or an
-HPD extraction (which re-enters the machine through the HoPP pipeline
-and may issue prefetches, evict pages, and mutate the arrivals heap).
+barrier: the chunk edge, a due prefetch arrival or timed event
+(computed as a conservative closed-form access budget, below), the
+sanitizer's access-count deadline, a residency miss, or an HPD
+extraction (which re-enters the machine through the HoPP pipeline and
+may issue prefetches, evict pages, and mutate the arrivals heap).
 Each run is then retired with O(1) bookkeeping instead of O(run):
 
 * HPD counters collapse via :meth:`HotPageDetector.process_run` (one
@@ -47,31 +52,44 @@ converted to arrays once; a single vectorized comparison finds every
 same-page run boundary, and the engine walks runs instead of accesses.
 Any chunk length works, down to ``chunk_size=1``.
 
-Exactness of the arrival barrier: the oracle lands every arrival with
-``arrivals[0][0] <= now`` before an access's residency check, so the
-kernel does the same at the top of each step and then runs while
-``arrivals[0][0] > now``.  Within a run ``now`` advances by the
-constant ``cost0`` per access, so the number of accesses that fit
-before the deadline has the closed form ``gap / cost0``; far from the
-deadline the kernel budgets ``int(gap / cost0) - 1`` accesses, whose
-slack (>= one full ``cost0`` = at least T_DRAM_HIT_US) dwarfs the
-worst-case accumulated rounding error of a <=4096-term float sum.
-Within two accesses of the deadline it counts the fitting accesses by
-repeating the oracle's own ``+= cost0`` additions, which is exact (and
-at least one, since nothing is due at ``now``).  Deferred chains never
-span an arrival check: a pending chain exists only while the arrivals
-heap is empty, and every residency miss, extraction, and chunk edge
-flushes it.
+Exactness of the timed barriers: the oracle lands every arrival with
+``arrivals[0][0] <= now`` before an access's residency check, and its
+heartbeat, repair issue and scrub audit each fire at the first access
+whose start time reaches their deadline.  So the kernel lands due
+arrivals at the top of each step and then runs while
+``min(arrivals[0][0], next_event_us()) > now``.  Within a run ``now``
+advances by the constant ``cost0`` per access, so the number of
+accesses that fit before the deadline has the closed form
+``gap / cost0``; far from the deadline the kernel budgets
+``int(gap / cost0) - 1`` accesses, whose slack (>= one full ``cost0`` =
+at least T_DRAM_HIT_US) dwarfs the worst-case accumulated rounding
+error of a <=4096-term float sum.  Within two accesses of the deadline
+it counts the fitting accesses by repeating the oracle's own
+``+= cost0`` additions, which is exact (and at least one, since nothing
+is due at ``now``).  With the sanitizer armed the budget is also
+clipped so the access whose 1-based count is a multiple of
+``sanitizer_interval_accesses`` (or, after recovery events, the very
+next access) is never retired in the kernel.  Deferred chains never
+span a timed check: a pending chain exists only while no timed
+deadline is pending — the arrivals heap is empty and no health monitor
+is armed (an armed monitor always has a heartbeat pending) — and every
+residency miss, due event, extraction, and chunk edge flushes it.
 
-A residency miss (a missing, non-PRESENT, or prefetched PTE) flushes
-the kernel's deferred state and takes exactly one access through
-:meth:`Machine.access` — the only definition of a fault — then reloads.
-That keeps results byte-identical to ``use_fast_path=False`` (pinned by
-tests/test_fastpath.py and tests/data/goldens_v1.json).
+An access at which a timed event falls due, and a residency miss (a
+missing, non-PRESENT, or prefetched PTE), both flush the kernel's
+deferred state and take exactly that access through
+:meth:`Machine.access` — the only definition of a fault and of the
+event order (arrivals, heartbeat, repair pump, sanitizer) — then
+reload, re-reading the deadlines, which only :meth:`Machine.access` and
+the extraction pipeline can move.  That keeps results byte-identical to
+``use_fast_path=False`` (pinned by tests/test_fastpath.py and
+tests/data/goldens_v1.json).  The kernel counts the barriers it takes,
+by kind, into :attr:`Machine.replay_barriers`.
 """
 
 from __future__ import annotations
 
+import math
 from itertools import islice
 from typing import Optional
 
@@ -92,6 +110,16 @@ DEFAULT_CHUNK = 4096
 #: Chain length at which replaying deferred additions switches from a
 #: Python fold to one ``numpy.cumsum`` pass (bit-identical either way).
 CUMSUM_MIN = 32
+
+#: Barrier kinds counted into :attr:`Machine.replay_barriers`: a due
+#: prefetch arrival landed, a residency miss, an HPD extraction, a timed
+#: event (heartbeat, repair/scrub issue, sanitizer sweep) falling due,
+#: and the end of a chunk.
+BARRIER_KINDS = ("arrival", "residency_miss", "extraction", "timed_event",
+                 "chunk_edge")
+
+#: Access-count deadline standing for "no sanitizer armed".
+_NO_LIMIT = 1 << 62
 
 
 def _seq_add3(a, b, c, ca, cb, cc, k, buf3):
@@ -156,6 +184,22 @@ class BatchKernel:
         self.chunk = chunk_size or DEFAULT_CHUNK
         self.seq_buf3 = np.empty((3, self.chunk + 1))
 
+    def _deadlines(self, accesses: int):
+        """The machine's live deadlines, for a kernel that has retired
+        ``accesses`` accesses: ``(next_event_us, alimit)``.  Once the
+        retired count reaches ``alimit`` the next access is a sanitizer
+        sweep (an interval multiple, or right away after recovery
+        events) and must go through :meth:`Machine.access`."""
+        m = self.machine
+        if m.sanitizer is None:
+            alimit = _NO_LIMIT
+        elif m._sanitize_after_recovery:
+            alimit = accesses
+        else:
+            interval = m.config.sanitizer_interval_accesses
+            alimit = (accesses // interval + 1) * interval - 1
+        return m.next_event_us(), alimit
+
     def run(self, trace) -> None:
         chunk = self.chunk
         vector = self._chunk_vector
@@ -200,6 +244,18 @@ class BatchKernel:
         offset_mask = PAGE_OFFSET_MASK
         process_arrivals = m._process_arrivals
         access = m.access
+        #: Armed health monitor or sanitizer: access() has timed work,
+        #: so the kernel also stops at ``tdue`` (simulated time) and at
+        #: ``alimit`` (retired-access count).  Only access() and the
+        #: extraction pipeline can move them (arrival landing cannot),
+        #: so they are re-read after each of those barriers.
+        timed = m.health is not None or m.sanitizer is not None
+        deadlines = self._deadlines
+        tdue, alimit = deadlines(m.accesses) if timed else (math.inf, _NO_LIMIT)
+        #: An armed health monitor always has a heartbeat pending, so
+        #: ``now`` must stay exact and no deferred chain may form.
+        clocked = m.health is not None
+        n_arrival = n_miss = n_extract = n_timed = 0
 
         hpd = plane.hpd if plane is not None else None
         single = type(hpd) is HotPageDetector
@@ -254,7 +310,8 @@ class BatchKernel:
         mc_writes = 0
         #: Deferred resident retirements: number of pending
         #: ``+= cost0 / t_dram / compute`` additions.  Non-zero only
-        #: while the arrivals heap is empty (flushed at every barrier).
+        #: while no timed deadline is pending (flushed at every
+        #: barrier).
         pend = 0
         while i < n:
             if i >= end:
@@ -268,6 +325,7 @@ class BatchKernel:
             if arrivals and arrivals[0][0] <= now:
                 # Barrier: due arrivals land before this access's
                 # residency check, exactly where access() lands them.
+                n_arrival += 1
                 m.now_us = now
                 m.accesses = accesses
                 m.compute_us = compute_us
@@ -278,11 +336,19 @@ class BatchKernel:
             if cached is None:
                 cached = hot[pid] = (tables[pid]._entries, lru_of_pid(pid))
             pte = cached[0].get(vpn)
-            if pte is None or pte.state is not present or pte.prefetched:
-                # Barrier: residency miss.  Flush every deferred chain
-                # and counter, take this one access through
-                # Machine.access (health and sanitizer are None here by
-                # the dispatch gate), and reload.
+            if (
+                pte is None or pte.state is not present or pte.prefetched
+                or (timed and (now >= tdue or accesses >= alimit))
+            ):
+                # Barrier: residency miss, or a timed event due at this
+                # access.  Flush every deferred chain and counter, take
+                # this one access through Machine.access (which lands
+                # nothing new, then ticks, pumps and sanitizes exactly
+                # as the oracle does), and reload.
+                if pte is None or pte.state is not present or pte.prefetched:
+                    n_miss += 1
+                else:
+                    n_timed += 1
                 if pend:
                     now, dram, compute_us = seq_add3(
                         now, dram, compute_us, cost0, t_dram, compute,
@@ -304,10 +370,14 @@ class BatchKernel:
                 accesses = m.accesses
                 compute_us = m.compute_us
                 dram = breakdown.dram_hit_us
+                if timed:
+                    tdue, alimit = deadlines(accesses)
                 i += 1
                 continue
-            if arrivals:
-                due = arrivals[0][0]
+            if arrivals or clocked:
+                due = arrivals[0][0] if arrivals else tdue
+                if due > tdue:
+                    due = tdue
                 budget = int((due - now) / cost0) - 1
                 if budget < 2:
                     # Near the deadline the float slack would cost whole
@@ -321,8 +391,10 @@ class BatchKernel:
                         t += cost0
             else:
                 budget = end - i
+            if timed and budget > alimit - accesses:
+                budget = alimit - accesses
             # -- the sub-run is [i, limit): the precomputed run clipped
-            # by the arrival budget --------------------------------------
+            # by the deadline budgets -------------------------------------
             limit = i + budget
             if limit > end:
                 limit = end
@@ -351,7 +423,7 @@ class BatchKernel:
                     accesses += avail
                     cached[1].touch(pid, vpn)
                     i += avail
-                    if arrivals:
+                    if arrivals or clocked:
                         now, dram, compute_us = seq_add3(
                             now, dram, compute_us, cost0, t_dram, compute,
                             avail, buf3,
@@ -405,6 +477,7 @@ class BatchKernel:
             i += consumed
             # -- barrier: extraction pipeline ---------------------------
             if hot_ppn is not None:
+                n_extract += 1
                 now, dram, compute_us = seq_add3(
                     now, dram, compute_us, cost0, t_dram, compute,
                     pend + consumed, buf3,
@@ -432,10 +505,13 @@ class BatchKernel:
                 accesses = m.accesses
                 compute_us = m.compute_us
                 dram = breakdown.dram_hit_us
-            elif arrivals:
+                if timed:
+                    tdue, alimit = deadlines(accesses)
+            elif arrivals or clocked:
                 # Budget-limited sub-run: the next barrier check reads
                 # ``now``, so the chain cannot stay deferred (pend is
-                # already 0 — it only grows while arrivals is empty).
+                # already 0 — it only grows while no timed deadline is
+                # pending).
                 now, dram, compute_us = seq_add3(
                     now, dram, compute_us, cost0, t_dram, compute,
                     consumed, buf3,
@@ -458,3 +534,9 @@ class BatchKernel:
         controller.reads += mc_reads
         controller.writes += mc_writes
         controller.bytes_transferred += (mc_reads + mc_writes) * BLOCK_SIZE
+        counts = m.replay_barriers
+        counts["arrival"] += n_arrival
+        counts["residency_miss"] += n_miss
+        counts["extraction"] += n_extract
+        counts["timed_event"] += n_timed
+        counts["chunk_edge"] += 1

@@ -11,6 +11,7 @@ the application through the shared fabric queue and the LRU lists.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
@@ -301,6 +302,11 @@ class Machine:
         #: Which engine the last :meth:`run` replayed through:
         #: ``"batched"``, or ``"oracle: <reason>"``; None before any run.
         self.replay_engine: Optional[str] = None
+        #: Barriers that broke the batch kernel's scan, by kind, summed
+        #: over every batched :meth:`run` (all zero on the oracle loop).
+        self.replay_barriers: Dict[str, int] = dict.fromkeys(
+            batchkernel.BARRIER_KINDS, 0
+        )
 
         # Counters surfaced to RunResult.
         self.accesses = 0
@@ -404,10 +410,12 @@ class Machine:
         """Drive one cacheline reference through the VM stack; returns
         the critical-path cost charged to the application.
 
-        This is the only definition of a fault: the oracle loop calls
-        it for every reference and the batch kernel for every residency
-        miss.  Only this method advances ``now_us``, so it is read once
-        and written once."""
+        This is the only definition of a fault and of the per-access
+        event order (arrivals, heartbeat, repair pump, sanitizer): the
+        oracle loop calls it for every reference, and the batch kernel
+        for every residency miss and every access at which a timed
+        event falls due.  Only this method advances ``now_us``, so it
+        is read once and written once."""
         self.accesses = accesses = self.accesses + 1
         now = self.now_us
         arrivals = self._arrivals
@@ -454,6 +462,29 @@ class Machine:
         self.controller.access(now, paddr, is_write)
         return cost
 
+    def next_event_us(self) -> float:
+        """Earliest simulated time at which :meth:`access` has timed
+        work besides prefetch arrivals (``math.inf`` when none).
+
+        That is the health monitor's next heartbeat; the repair
+        engine's next issue while its queue holds tasks; and, with the
+        queue empty and a patrol scrubber armed, the later of the next
+        issue and the next scrub.  Derived from live state on every
+        call: faults, extractions and the timed work itself move it.
+        """
+        health = self.health
+        if health is None:
+            return math.inf
+        due = health.next_heartbeat_us
+        repair = self.repair
+        if not repair.idle:
+            issue = repair.next_issue_us
+        elif repair.scrubber is not None:
+            issue = max(repair.next_issue_us, repair.scrubber.next_scrub_us)
+        else:
+            return due
+        return issue if issue < due else due
+
     def run(
         self,
         trace,
@@ -464,30 +495,25 @@ class Machine:
 
         Two replay engines, both exact.  By default the chunked batch
         kernel (:mod:`repro.sim.batchkernel`) scans ahead to the next
-        barrier (due arrival, residency miss, HPD extraction, chunk
-        edge), retires whole same-page runs of resident hits with O(1)
-        bookkeeping, and sends every residency miss through
+        barrier (due arrival, :meth:`next_event_us` or sanitizer
+        deadline, residency miss, HPD extraction, chunk edge), retires
+        whole same-page runs of resident hits with O(1) bookkeeping,
+        and sends every access at which a barrier falls due through
         :meth:`access`.  Otherwise every reference goes through
         :meth:`access` one by one: the differential oracle.  The oracle
-        runs when ``use_fast_path=False``, when the health monitor or
-        the sanitizer is armed (their per-access epoch work admits no
-        shortcut), and when the MC tap wiring is anything but the stock
-        HoPP data plane's (:func:`batchkernel.supports_batch_taps`).
-        The kernel repeats :meth:`access`'s arithmetic
-        operation-for-operation (same values, same order of float
-        additions), so every counter and timestamp stays byte-identical
-        to the oracle's — pinned by tests/test_fastpath.py.
-        ``chunk_size`` overrides the kernel's scan-ahead window (testing
-        knob).  :attr:`replay_engine` records which engine ran, and why
-        the oracle did.
+        runs when ``use_fast_path=False``, and when the MC tap wiring
+        is anything but the stock HoPP data plane's
+        (:func:`batchkernel.supports_batch_taps`).  The kernel repeats
+        :meth:`access`'s arithmetic operation-for-operation (same
+        values, same order of float additions), so every counter and
+        timestamp stays byte-identical to the oracle's — pinned by
+        tests/test_fastpath.py.  ``chunk_size`` overrides the kernel's
+        scan-ahead window (testing knob).  :attr:`replay_engine` records
+        which engine ran, and why the oracle did.
         """
         taps = self.controller._taps
         if not use_fast_path:
             reason = "use_fast_path=False"
-        elif self.health is not None:
-            reason = "health armed"
-        elif self.sanitizer is not None:
-            reason = "sanitizer armed"
         elif taps and not batchkernel.supports_batch_taps(self):
             reason = "non-stock MC tap"
         else:

@@ -14,7 +14,10 @@ import random
 
 import pytest
 
+from repro.cluster.cluster import ClusterConfig
 from repro.common.constants import BLOCK_SHIFT, PAGE_SHIFT
+from repro.integrity import ScrubConfig
+from repro.net.faults import FaultPlan
 from repro.sim import batchkernel, runner
 from repro.sim import systems as systems_mod
 from repro.sim.runner import collect, make_machine
@@ -510,13 +513,149 @@ class TestReplayEngine:
         assert self._engine(spec) == "oracle: non-stock MC tap"
 
     def test_armed_and_forced_oracle(self):
-        from repro.net.faults import FaultPlan
-
-        assert self._engine("hopp", fault_plan=FaultPlan.none()) == \
-            "oracle: health armed"
-        assert self._engine("hopp", check_invariants=True) == \
-            "oracle: sanitizer armed"
+        # Armed machines replay batched; only use_fast_path=False (and a
+        # non-stock tap, above) still take the oracle loop.
+        assert self._engine("hopp", fault_plan=FaultPlan.none()) == "batched"
+        assert self._engine(
+            "hopp", fault_plan=FaultPlan.crash_rejoin(3),
+            cluster=ClusterConfig(nodes=3, replication=2),
+        ) == "batched"
+        assert self._engine("hopp", check_invariants=True) == "batched"
         workload = build("stream-simple", seed=3, npages=64, passes=1)
         machine = make_machine(workload, "hopp", 0.5, quiet_fabric(3))
         machine.run(list(workload.trace()), use_fast_path=False)
         assert machine.replay_engine == "oracle: use_fast_path=False"
+        assert set(machine.replay_barriers.values()) == {0}
+
+    def test_profile_probes_armed_spec(self):
+        # run --profile's probes replay on the spec's armed machine.
+        from repro.exec.profile import loop_throughput
+        from repro.exec.spec import RunSpec
+
+        spec = RunSpec(workload="stream-simple", system="fastswap",
+                       fault_plan=FaultPlan.crash_rejoin(3),
+                       check_invariants=True)
+        _, engines, barriers = loop_throughput(spec, max_accesses=5_000)
+        assert engines == {"untapped": "batched"}
+        assert barriers["untapped"]["timed_event"] > 0
+        assert barriers["untapped"]["chunk_edge"] == 2
+
+
+_REJOIN = FaultPlan.crash_rejoin(7, at_us=2_500.0, rejoin_us=4_500.0)
+
+#: Armed-run cases: (fault plan, scrub config, sanitizer interval).  The
+#: small quicksort below completes in ~6-8 ms simulated, so the crash
+#: and rejoin land mid-run; chaos and corruption-chaos act through their
+#: probabilistic drops and flips.
+ARMED_CASES = {
+    "empty": (FaultPlan.none(), None, None),
+    "crash": (FaultPlan.crash(7, at_us=2_500.0), None, None),
+    "crash-rejoin": (_REJOIN, None, None),
+    "chaos": (FaultPlan.chaos(7), None, None),
+    "corruption-chaos": (FaultPlan.corruption_chaos(7), None, None),
+    "scrub": (_REJOIN, ScrubConfig(rate_pages_per_s=20_000.0), None),
+    "sanitizer": (_REJOIN, None, 97),
+}
+
+
+class TestArmedRunsBatched:
+    """Armed runs (fault plans, patrol scrub, sanitizer) replay through
+    the batch kernel with its timed deadlines, and match the oracle."""
+
+    def _run(self, workload, trace, system, case, fast, chunk=None,
+             drain_at=None):
+        plan, scrub, interval = ARMED_CASES[case]
+        machine = make_machine(
+            workload, system, 0.25, quiet_fabric(7), plan,
+            ClusterConfig(nodes=3, replication=2),
+            check_invariants=interval is not None, scrub=scrub,
+        )
+        sweeps = []
+        if interval is not None:
+            machine.config.sanitizer_interval_accesses = interval
+            # Record where each sweep ran: a sweep the kernel delays
+            # still passes, so only its position shows the delay.
+            check = machine.sanitizer.check
+
+            def spy():
+                sweeps.append((machine.accesses, machine.now_us))
+                check()
+
+            machine.sanitizer.check = spy
+        if drain_at is None:
+            machine.run(trace, use_fast_path=fast, chunk_size=chunk)
+        else:
+            # The autoscaler's scale-in path: a drain between two runs.
+            machine.run(trace[:drain_at], use_fast_path=fast, chunk_size=chunk)
+            machine.drain_node(1)
+            machine.run(trace[drain_at:], use_fast_path=fast, chunk_size=chunk)
+        machine.flush_memtier()
+        machine.flush_recovery()
+        return machine, (
+            collect(machine, system, "armed").to_dict(full=True),
+            machine.health.transitions,
+            machine.repair.stats_snapshot(),
+            None if machine.sanitizer is None else machine.sanitizer.checks_run,
+            sweeps,
+        )
+
+    def _both(self, system, case, chunk=None, drain_at=None):
+        workload = build("quicksort", seed=7, array_pages=400)
+        trace = list(workload.trace())
+        fast, got = self._run(workload, trace, system, case, True, chunk,
+                              drain_at)
+        slow, want = self._run(workload, trace, system, case, False, chunk,
+                               drain_at)
+        assert fast.replay_engine == "batched"
+        assert slow.replay_engine == "oracle: use_fast_path=False"
+        assert got == want
+        return fast, len(trace)
+
+    @pytest.mark.parametrize("chunk", [None, 1, 15, 64])
+    @pytest.mark.parametrize("system", ["fastswap", "leap", "hopp"])
+    @pytest.mark.parametrize("case", list(ARMED_CASES))
+    def test_matches_oracle(self, case, system, chunk):
+        machine, accesses = self._both(system, case, chunk)
+        assert machine.replay_barriers["timed_event"] > 0
+        if case in ("crash", "crash-rejoin", "scrub", "sanitizer"):
+            assert machine.health.node_crashes == 1
+            assert machine.repair.pages_repaired > 0
+        if case == "scrub":
+            assert machine.integrity.scrub_reads > 0
+        if case == "sanitizer":
+            assert machine.sanitizer.checks_run > accesses // 97
+
+    @pytest.mark.parametrize("system", ["fastswap", "hopp"])
+    def test_requested_sweep_runs_at_next_access(self, system):
+        # Recovery events that fire mid-fault request a sweep at the next
+        # access boundary; the kernel must not retire that access itself.
+        workload = build("quicksort", seed=7, array_pages=400)
+        trace = list(workload.trace())
+        # Split just before a second touch of one page: a resident hit
+        # the kernel would otherwise retire.
+        split = next(
+            i for i in range(3_000, len(trace))
+            if trace[i][1] >> PAGE_SHIFT == trace[i - 1][1] >> PAGE_SHIFT
+        )
+        sweeps = {}
+        for fast in (True, False):
+            machine = make_machine(workload, system, 0.25, quiet_fabric(7),
+                                   check_invariants=True)
+            machine.run(trace[:split], use_fast_path=fast)
+            machine._sanitize_after_recovery = True
+            check = machine.sanitizer.check
+            log = sweeps[fast] = []
+
+            def spy(machine=machine, check=check, log=log):
+                log.append(machine.accesses)
+                check()
+
+            machine.sanitizer.check = spy
+            machine.run(trace[split:], use_fast_path=fast)
+        assert sweeps[True] == sweeps[False]
+        assert sweeps[True][0] == split + 1
+
+    @pytest.mark.parametrize("system", ["fastswap", "hopp"])
+    def test_drain_between_runs(self, system):
+        machine, _ = self._both(system, "empty", drain_at=4_000)
+        assert machine.repair.pages_drained > 0
