@@ -70,6 +70,15 @@ T_REMOTE_FAULT_US = (
 #: An LLC miss served by local DRAM (Section II-C's "DRAM-hit").
 T_DRAM_HIT_US = 0.1
 
+#: First touch of a page: allocate and map a zeroed local frame.
+T_MINOR_FAULT_US = 1.9
+
+#: Exponential backoff between retries of a synchronous transfer (demand
+#: read or reclaim writeback) that timed out: the n-th retry waits
+#: ``T_RETRY_BACKOFF_US * RETRY_BACKOFF_MULTIPLIER ** (n - 1)``.
+T_RETRY_BACKOFF_US = 25.0
+RETRY_BACKOFF_MULTIPLIER = 2.0
+
 #: CPU cost of posting one prefetch READ from *inside the fault handler*
 #: (swapcache entry allocation + RDMA verb post).  Fault-time
 #: prefetchers (Fastswap, Leap, Depth-N) pay this on the critical path

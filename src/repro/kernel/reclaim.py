@@ -96,10 +96,7 @@ class Reclaimer:
     one page at a time.
     """
 
-    def __init__(self, batch_size: int = 32, watermark_slack: int = 16) -> None:
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        self.batch_size = batch_size
+    def __init__(self, watermark_slack: int = 16) -> None:
         self.watermark_slack = watermark_slack
         self.stats = ReclaimStats()
 

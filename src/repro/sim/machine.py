@@ -33,13 +33,16 @@ from repro.cluster.repair import RepairConfig, RepairEngine
 from repro.common.constants import (
     BLOCK_SHIFT,
     PAGE_SHIFT,
+    RETRY_BACKOFF_MULTIPLIER,
     T_CONTEXT_SWITCH_US,
     T_DRAM_HIT_US,
+    T_MINOR_FAULT_US,
     T_PREFETCH_HIT_US,
     T_PREFETCH_ISSUE_US,
     T_PTE_SET_US,
     T_PTE_WALK_US,
     T_RECLAIM_CRITICAL_RESIDUE_US,
+    T_RETRY_BACKOFF_US,
     T_SWAPCACHE_OP_US,
 )
 from repro.common.types import FaultBreakdown
@@ -84,6 +87,11 @@ from repro.telemetry.events import (
 PAGE_OFFSET_MASK = (1 << PAGE_SHIFT) - 1
 
 
+def _retry_backoff_us(attempts: int) -> float:
+    """Backoff before the retry that follows ``attempts`` timeouts."""
+    return T_RETRY_BACKOFF_US * RETRY_BACKOFF_MULTIPLIER ** (attempts - 1)
+
+
 @dataclass
 class MachineConfig:
     """Compute-node parameters.
@@ -95,9 +103,7 @@ class MachineConfig:
     local_memory_pages: int
     remote_capacity_pages: int = 1 << 22
     fabric: FabricConfig = field(default_factory=FabricConfig)
-    reclaim_batch: int = 32
     watermark_slack: int = 16
-    minor_fault_cost_us: float = 1.9
     #: Charge prefetched pages to the application's cgroup.  HoPP does;
     #: Fastswap and Leap do not (Section I).
     charge_prefetch: bool = True
@@ -111,9 +117,6 @@ class MachineConfig:
     #: Retry budget for synchronous transfers (demand reads, reclaim
     #: writebacks).  Prefetch reads are never retried — they are dropped.
     demand_retry_limit: int = 8
-    #: Exponential backoff between retries: base * multiplier ** attempt.
-    retry_backoff_us: float = 25.0
-    retry_backoff_multiplier: float = 2.0
     #: Remote-pool topology.  The default (one node, interleave, no
     #: replication) is byte-identical to the pre-cluster single-node
     #: path; ``remote_capacity_pages`` is split evenly across nodes.
@@ -167,11 +170,12 @@ class Machine:
         self,
         config: MachineConfig,
         fault_prefetcher: Optional[FaultTimePrefetcher] = None,
-        hopp: Optional[HoppDataPlane] = None,
     ) -> None:
         self.config = config
         self.fault_prefetcher = fault_prefetcher
-        self.hopp = hopp
+        #: The HoPP data plane, wired in by its system builder (which
+        #: also taps it onto the memory controller); None otherwise.
+        self.hopp: Optional[HoppDataPlane] = None
         self.now_us = 0.0
 
         plan = config.fault_plan
@@ -273,7 +277,7 @@ class Machine:
         )
         self._sanitize_after_recovery = False
         self.cgroups = CgroupManager()
-        self.reclaimer = Reclaimer(config.reclaim_batch, config.watermark_slack)
+        self.reclaimer = Reclaimer(config.watermark_slack)
         self.vmas = VmaRegistry()
         self.controller = MemoryController(channels=config.mc_channels)
 
@@ -348,9 +352,6 @@ class Machine:
         #: Evictions abandoned because the writeback could not complete;
         #: the page stayed resident (``absorb_fatal_faults``).
         self.writebacks_abandoned = 0
-
-        if hopp is not None:
-            self.controller.add_tap(hopp.on_mc_access)
 
     @property
     def fabric(self) -> RdmaFabric:
@@ -534,23 +535,16 @@ class Machine:
     def _minor_fault(self, pid: int, vpn: int, table: PageTable, pte: Pte) -> float:
         """First touch: allocate a zero page locally."""
         self.minor_faults += 1
-        self._ensure_headroom(pid)
-        cgroup = self._cgroup_of[pid]
-        cgroup.charge(1)
-        self._resident[cgroup.name] += 1
-        self._resident_total += 1
+        ppn = self._charge_frame(pid, vpn, prefetch=False)
         self._note_peak()
-        ppn = self.frames.allocate(pid, vpn)
         table.map_page(vpn, ppn)
         self._lru_of_pid(pid).insert(pid, vpn)
-        return self.config.minor_fault_cost_us
+        return T_MINOR_FAULT_US
 
     def _swapcache_hit(self, pid: int, vpn: int, table: PageTable, pte: Pte) -> float:
         """Prefetch-hit: the page is local but unmapped (Section II-C)."""
-        self.swapcache.take(pid, vpn)
+        self._map_from_swapcache(pid, vpn, table, pte)
         self._count_prefetch_hit(pid, vpn, pte, "swapcache")
-        table.map_page(vpn, pte.ppn)
-        self._release_remote_copy(pte)
         self._lru_of_pid(pid).touch(pid, vpn)
         cost = T_PREFETCH_HIT_US
         self.breakdown.prefetch_hit_us += cost
@@ -564,9 +558,7 @@ class Machine:
         self._process_arrivals(self.now_us + wait)
         # The arrival handler moved the page to SWAPCACHE or PRESENT.
         if pte.state == PteState.SWAPCACHE:
-            self.swapcache.take(pid, vpn)
-            table.map_page(vpn, pte.ppn)
-            self._release_remote_copy(pte)
+            self._map_from_swapcache(pid, vpn, table, pte)
         self._count_prefetch_hit(pid, vpn, pte, "inflight")
         self._lru_of_pid(pid).touch(pid, vpn)
         cost = wait + T_PREFETCH_HIT_US
@@ -576,14 +568,8 @@ class Machine:
     def _major_fault(self, pid: int, vpn: int, table: PageTable, pte: Pte) -> float:
         """Demand swap-in over RDMA — the costly synchronous path."""
         self.remote_demand_reads += 1
-        self._ensure_headroom(pid)
-        cgroup = self._cgroup_of[pid]
-        cgroup.charge(1)
-        self._resident[cgroup.name] += 1
-        self._resident_total += 1
+        pte.ppn = ppn = self._charge_frame(pid, vpn, prefetch=False)
         self._note_peak()
-        ppn = self.frames.allocate(pid, vpn)
-        pte.ppn = ppn
         slot = pte.swap_slot
         zero_filled = False
         if self._slot_is_lost(slot):
@@ -811,9 +797,7 @@ class Machine:
                     waited += fault.wasted_us
                     self.retry_latency_us += fault.wasted_us
                     continue
-                backoff = self.config.retry_backoff_us * (
-                    self.config.retry_backoff_multiplier ** (attempts - 1)
-                )
+                backoff = _retry_backoff_us(attempts)
                 waited += fault.wasted_us + backoff
                 self.retry_latency_us += fault.wasted_us + backoff
 
@@ -846,25 +830,11 @@ class Machine:
         ):
             self.prefetch_throttled += 1
             return None
-        cgroup = self._cgroup_of[pid]
-        name = cgroup.name
-        resident = self._resident
-        if self.config.strict_cgroup_prefetch and cgroup.charge_prefetch:
-            # Strict mode: a prefetch must fit the budget's *existing*
-            # headroom — it never reclaims resident pages to make room
-            # for itself.  Refuse before any fabric traffic.
-            try:
-                cgroup.charge(1, prefetch=True, strict=True)
-            except CgroupOverLimitError:
-                self.prefetch_overlimit_rejects += 1
-                return None
-        else:
-            if resident[name] >= cgroup.limit_pages:
-                self._ensure_headroom(pid)
-            cgroup.charge(1, prefetch=True)
-        resident[name] += 1
-        self._resident_total += 1
-        pte.ppn = self.frames.allocate(pid, vpn)
+        # Strict mode refuses here, before any fabric traffic.
+        ppn = self._charge_frame(pid, vpn, prefetch=True)
+        if ppn is None:
+            return None
+        pte.ppn = ppn
         node = cluster.primary_node(slot) if placed else cluster.nodes[0]
         try:
             completion = node.fabric.read_page(now_us)
@@ -875,35 +845,18 @@ class Machine:
         except TransferTimeout:
             # Prefetches are speculative: never retried, dropped with
             # full bookkeeping cleanup so every counter still conserves.
-            self.frames.free(pte.ppn)
+            self.frames.free(ppn)
             pte.ppn = -1
+            cgroup = self._cgroup_of[pid]
             cgroup.uncharge(1, prefetch=True)
-            resident[name] -= 1
+            self._resident[cgroup.name] -= 1
             self._resident_total -= 1
-            self.timeouts += 1
-            self.prefetch_issued += 1
-            self.issued_by_tier[tier] = self.issued_by_tier.get(tier, 0) + 1
-            self.dropped_prefetches += 1
-            self.dropped_by_tier[tier] = self.dropped_by_tier.get(tier, 0) + 1
-            if self.hopp is not None:
-                self.hopp.on_prefetch_dropped(now_us)
-            if self.telemetry is not None:
-                bus = self.telemetry.bus
-                bus.emit(
-                    EV_PREFETCH_ISSUE, now_us,
-                    pid=pid, vpn=vpn, tier=tier, arrival_us=-1.0,
-                )
-                bus.emit(EV_PREFETCH_DROP, now_us, tier=tier, n=1)
+            self._drop_prefetches(
+                now_us, 1, pid=pid, vpn=vpn, tier=tier, arrival_us=-1.0
+            )
             return None
-        if self._resident_total > self.peak_resident_pages:
-            self.peak_resident_pages = self._resident_total
-        pte.state = PteState.INFLIGHT
-        pte.prefetched = True
-        pte.prefetch_tier = tier
-        pte.arrival_us = completion
-        pte.injected = inject_pte
-        self._arrival_seq += 1
-        heapq.heappush(self._arrivals, (completion, self._arrival_seq, pid, vpn))
+        self._note_peak()
+        self._queue_arrival(pid, vpn, pte, completion, inject_pte, tier)
         self.prefetch_issued += 1
         self.issued_by_tier[tier] = self.issued_by_tier.get(tier, 0) + 1
         if self.memtier is not None:
@@ -931,13 +884,14 @@ class Machine:
         table = self._page_tables.get(pid)
         if table is None or npages < 1:
             return None
-        fetchable = [
-            vpn
-            for vpn in range(max(start_vpn, 0), start_vpn + npages)
-            if table.entry(vpn).state == PteState.REMOTE
-            and not self._slot_is_lost(table.entry(vpn).swap_slot)
-            and not self._slot_is_poisoned(table.entry(vpn).swap_slot)
-        ]
+        unreadable = self.cluster.unreadable
+        fetchable = []
+        for vpn in range(max(start_vpn, 0), start_vpn + npages):
+            pte = table.entry(vpn)
+            if pte.state is PteState.REMOTE and not (
+                pte.swap_slot >= 0 and unreadable(pte.swap_slot)
+            ):
+                fetchable.append(vpn)
         if not fetchable:
             return None
         if self.prefetch_admission is not None and not self.prefetch_admission(
@@ -953,7 +907,6 @@ class Machine:
         for vpn in fetchable:
             node = self._node_for_page(table.entry(vpn))
             groups.setdefault(node.node_id, []).append(vpn)
-        cgroup = self._cgroup_of[pid]
         last_arrival = None
         for node_id, vpns in groups.items():
             node = self.cluster.nodes[node_id]
@@ -966,53 +919,22 @@ class Machine:
                 # drop every page in it (nothing was charged or
                 # allocated yet).  Other nodes' requests proceed.
                 count = len(vpns)
-                self.timeouts += 1
-                self.prefetch_issued += count
-                self.issued_by_tier[tier] = self.issued_by_tier.get(tier, 0) + count
-                self.dropped_prefetches += count
-                self.dropped_by_tier[tier] = (
-                    self.dropped_by_tier.get(tier, 0) + count
+                self._drop_prefetches(
+                    now_us, count, tier=tier, arrival_us=-1.0, n=count
                 )
-                if self.hopp is not None:
-                    self.hopp.on_prefetch_dropped(now_us)
-                if self.telemetry is not None:
-                    bus = self.telemetry.bus
-                    bus.emit(
-                        EV_PREFETCH_ISSUE, now_us,
-                        tier=tier, arrival_us=-1.0, n=count,
-                    )
-                    bus.emit(EV_PREFETCH_DROP, now_us, tier=tier, n=count)
                 continue
             emit = self.telemetry.bus.emit if self.telemetry is not None else None
-            strict = self.config.strict_cgroup_prefetch and cgroup.charge_prefetch
             landed = 0
             for vpn, arrival in zip(vpns, arrivals):
-                if strict:
-                    # Strict mode: the page lands only if it fits the
-                    # budget's existing headroom — prefetch never
-                    # reclaims resident pages to make room for itself.
-                    # The batch transfer already happened, but nothing
-                    # was allocated or charged for a refused page, so
-                    # every counter still conserves.
-                    try:
-                        cgroup.charge(1, prefetch=True, strict=True)
-                    except CgroupOverLimitError:
-                        self.prefetch_overlimit_rejects += 1
-                        continue
-                else:
-                    self._ensure_headroom(pid)
-                    cgroup.charge(1, prefetch=True)
-                self._resident[cgroup.name] += 1
-                self._resident_total += 1
+                # Strict mode refuses here, after the batch transfer;
+                # nothing was allocated or charged for a refused page,
+                # so every counter still conserves.
+                ppn = self._charge_frame(pid, vpn, prefetch=True)
+                if ppn is None:
+                    continue
                 pte = table.entry(vpn)
-                pte.ppn = self.frames.allocate(pid, vpn)
-                pte.state = PteState.INFLIGHT
-                pte.prefetched = True
-                pte.prefetch_tier = tier
-                pte.arrival_us = arrival
-                pte.injected = inject_pte
-                self._arrival_seq += 1
-                heapq.heappush(self._arrivals, (arrival, self._arrival_seq, pid, vpn))
+                pte.ppn = ppn
+                self._queue_arrival(pid, vpn, pte, arrival, inject_pte, tier)
                 landed += 1
                 if emit is not None:
                     emit(
@@ -1163,23 +1085,10 @@ class Machine:
                     # a recoverable crash into data loss).
                     self._release_remote_copy(pte)
                     slot = swap_space.allocate(pid, vpn)
-                    try:
-                        self._writeback_resilient(slot, pid, vpn)
-                    except RemoteFetchFatalError:
-                        if not self.config.absorb_fatal_faults:
-                            raise
-                        # The salvage writeback burned its retry budget
-                        # and this frame is the page's last copy: keep
-                        # it.  The page promotes to PRESENT (it already
-                        # left the swapcache above) and rejoins the LRU;
-                        # any replica already written goes with the
-                        # abandoned slot.
-                        cluster.release(slot)
-                        swap_space.free(slot)
-                        pte.swap_slot = -1
-                        table.map_page(vpn, pte.ppn)
-                        lru.insert(pid, vpn)
-                        self.writebacks_abandoned += 1
+                    if not self._writeback_or_keep(slot, pid, vpn, pte.ppn):
+                        # This frame is the page's last copy: it
+                        # promotes to PRESENT (it already left the
+                        # swapcache above).
                         continue
                     pte.swap_slot = slot
                     self.pages_salvaged += 1
@@ -1203,23 +1112,8 @@ class Machine:
                         if replica:
                             cluster.replica_writes += 1
                         replica = True
-                else:
-                    try:
-                        self._writeback_resilient(slot, pid, vpn)
-                    except RemoteFetchFatalError:
-                        if not self.config.absorb_fatal_faults:
-                            raise
-                        # The writeback burned its whole retry budget:
-                        # abandon the eviction instead of losing the
-                        # page.  Replicas already written are released
-                        # with the slot, the frame stays mapped, and the
-                        # page goes back on the LRU for a later attempt.
-                        cluster.release(slot)
-                        swap_space.free(slot)
-                        table.map_page(vpn, ppn)
-                        lru.insert(pid, vpn)
-                        self.writebacks_abandoned += 1
-                        continue
+                elif not self._writeback_or_keep(slot, pid, vpn, ppn):
+                    continue
                 pte.swap_slot = slot
                 if memtier is not None:
                     self._memtier_note_writeback(slot, pid, vpn)
@@ -1268,6 +1162,30 @@ class Machine:
             if index:
                 self.cluster.replica_writes += 1
 
+    def _writeback_or_keep(self, slot: int, pid: int, vpn: int, ppn: int) -> bool:
+        """Write an evicted page back to ``slot``; returns False when the
+        eviction was abandoned instead.
+
+        Under ``absorb_fatal_faults`` a writeback that burned its whole
+        retry budget keeps the page rather than lose it: replicas
+        already written are released with the slot, frame ``ppn`` is
+        mapped again, and the page goes back on the LRU for a later
+        attempt.  Otherwise the fatal error propagates."""
+        try:
+            self._writeback_resilient(slot, pid, vpn)
+            return True
+        except RemoteFetchFatalError:
+            if not self.config.absorb_fatal_faults:
+                raise
+        self.cluster.release(slot)
+        self.swap_space.free(slot)
+        table = self._page_tables[pid]
+        table._entries[vpn].swap_slot = -1
+        table.map_page(vpn, ppn)
+        self._lru_of_pid(pid).insert(pid, vpn)
+        self.writebacks_abandoned += 1
+        return False
+
     def _writeback_one(
         self, slot: int, pid: int, vpn: int, node: ClusterNode
     ) -> None:
@@ -1309,12 +1227,79 @@ class Machine:
                         node = rerouted
                         waited += fault.wasted_us
                         continue
-                backoff = self.config.retry_backoff_us * (
-                    self.config.retry_backoff_multiplier ** (attempts - 1)
-                )
-                waited += fault.wasted_us + backoff
+                waited += fault.wasted_us + _retry_backoff_us(attempts)
 
     # -- helpers ------------------------------------------------------------------------
+
+    def _charge_frame(self, pid: int, vpn: int, prefetch: bool) -> Optional[int]:
+        """Charge one page to ``pid``'s cgroup, count it resident and
+        allocate its frame; returns the frame, or None when strict
+        prefetch charging refuses the page.
+
+        Strict mode (``strict_cgroup_prefetch`` on a cgroup that charges
+        prefetches): a prefetch must fit the budget's *existing*
+        headroom — it never reclaims resident pages to make room for
+        itself.  Every other charge reclaims first when the cgroup is
+        full."""
+        cgroup = self._cgroup_of[pid]
+        name = cgroup.name
+        if prefetch and self.config.strict_cgroup_prefetch and cgroup.charge_prefetch:
+            try:
+                cgroup.charge(1, prefetch=True, strict=True)
+            except CgroupOverLimitError:
+                self.prefetch_overlimit_rejects += 1
+                return None
+        else:
+            if self._resident[name] >= cgroup.limit_pages:
+                self._ensure_headroom(pid)
+            cgroup.charge(1, prefetch=prefetch)
+        self._resident[name] += 1
+        self._resident_total += 1
+        return self.frames.allocate(pid, vpn)
+
+    def _queue_arrival(
+        self,
+        pid: int,
+        vpn: int,
+        pte: Pte,
+        arrival_us: float,
+        inject_pte: bool,
+        tier: str,
+    ) -> None:
+        """Mark a fetched page INFLIGHT and queue its arrival."""
+        pte.state = PteState.INFLIGHT
+        pte.prefetched = True
+        pte.prefetch_tier = tier
+        pte.arrival_us = arrival_us
+        pte.injected = inject_pte
+        self._arrival_seq += 1
+        heapq.heappush(self._arrivals, (arrival_us, self._arrival_seq, pid, vpn))
+
+    def _drop_prefetches(self, now_us: float, count: int, **issue: object) -> None:
+        """Count ``count`` prefetches lost to one injected timeout as
+        issued and dropped.  ``issue`` is the ``EV_PREFETCH_ISSUE``
+        payload, which names the tier."""
+        tier = issue["tier"]
+        self.timeouts += 1
+        self.prefetch_issued += count
+        self.issued_by_tier[tier] = self.issued_by_tier.get(tier, 0) + count
+        self.dropped_prefetches += count
+        self.dropped_by_tier[tier] = self.dropped_by_tier.get(tier, 0) + count
+        if self.hopp is not None:
+            self.hopp.on_prefetch_dropped(now_us)
+        if self.telemetry is not None:
+            bus = self.telemetry.bus
+            bus.emit(EV_PREFETCH_ISSUE, now_us, **issue)
+            bus.emit(EV_PREFETCH_DROP, now_us, tier=tier, n=count)
+
+    def _map_from_swapcache(
+        self, pid: int, vpn: int, table: PageTable, pte: Pte
+    ) -> None:
+        """Take a landed page out of the swapcache and map it; its
+        remote copy is no longer needed."""
+        self.swapcache.take(pid, vpn)
+        table.map_page(vpn, pte.ppn)
+        self._release_remote_copy(pte)
 
     def _memtier_note_writeback(self, slot: int, pid: int, vpn: int) -> None:
         """Route a completed writeback into the migration engine (tier

@@ -9,11 +9,26 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from dataclasses import dataclass, field, fields
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.common.stats import Histogram, safe_ratio
 from repro.common.types import FaultBreakdown
+
+# ``field(metadata=...)`` markers: the ``to_dict`` section a RunResult
+# field is written to (a field without one sits at the top level), an
+# optional wire ``key`` when it differs from the field name, or
+# ``manual`` for the fields to_dict/from_dict serialize by hand.
+_CLUSTER = {"section": "cluster"}
+_RECOVERY = {"section": "recovery"}
+#: Written only under ``to_dict(full=True)``: adding default keys would
+#: break the golden byte-identity contract.
+_MACHINE = {"section": "machine"}
+_MANUAL = {"manual": True}
+
+#: Hand-handled sections that are absent from ``to_dict`` output while
+#: None, keeping goldens byte-identical.
+_OPTIONAL_SECTIONS = ("telemetry", "scenario", "memtier", "integrity")
 
 
 @dataclass
@@ -37,8 +52,8 @@ class RunResult:
     prefetch_wasted: int = 0
     issued_by_tier: Dict[str, int] = field(default_factory=dict)
     hits_by_tier: Dict[str, int] = field(default_factory=dict)
-    breakdown: FaultBreakdown = field(default_factory=FaultBreakdown)
-    timeliness: Optional[Histogram] = None
+    breakdown: FaultBreakdown = field(default_factory=FaultBreakdown, metadata=_MANUAL)
+    timeliness: Optional[Histogram] = field(default=None, metadata=_MANUAL)
     fabric_reads: int = 0
     fabric_writes: int = 0
     reclaim_pages: int = 0
@@ -59,86 +74,83 @@ class RunResult:
     #: Prefetch requests suppressed at the breaker gate while degraded.
     prefetch_suppressed: int = 0
     #: Remote-pool topology (1/interleave/1 = the single-node model).
-    remote_nodes: int = 1
-    placement: str = "interleave"
-    replication: int = 1
+    remote_nodes: int = field(default=1, metadata=_CLUSTER)
+    placement: str = field(default="interleave", metadata=_CLUSTER)
+    replication: int = field(default=1, metadata=_CLUSTER)
     #: Demand reads answered by a replica after the primary was found
     #: restarting (requires replication > 1).
-    demand_failovers: int = 0
+    demand_failovers: int = field(default=0, metadata=_CLUSTER)
     #: Reclaim writebacks re-routed to a live node mid-retry.
-    writeback_reroutes: int = 0
+    writeback_reroutes: int = field(default=0, metadata=_CLUSTER)
     #: Extra WRITEs spent keeping replicas (0 when replication == 1).
-    replica_writes: int = 0
+    replica_writes: int = field(default=0, metadata=_CLUSTER)
     #: Per-node fabric/remote counter snapshots (one dict per node).
-    node_stats: list = field(default_factory=list)
+    node_stats: list = field(
+        default_factory=list, metadata={"section": "cluster", "key": "per_node"}
+    )
     #: Self-healing / recovery observability (all exactly 0 without node
     #: crashes, drains, or ``--check-invariants``).
     #: Permanent node crashes detected by the health monitor.
-    node_crashes: int = 0
+    node_crashes: int = field(default=0, metadata=_RECOVERY)
     #: Nodes re-admitted after a crash (``node_rejoin``) or a drain.
-    node_rejoins: int = 0
+    node_rejoins: int = field(default=0, metadata=_RECOVERY)
     #: Under-replicated pages copied onto a live node by the repair engine.
-    pages_repaired: int = 0
+    pages_repaired: int = field(default=0, metadata=_RECOVERY)
     #: Pages whose every replica died with its node (unrecoverable).
-    pages_lost: int = 0
+    pages_lost: int = field(default=0, metadata=_RECOVERY)
     #: Demand faults on lost pages resolved by mapping a zeroed frame.
-    pages_zero_filled: int = 0
+    pages_zero_filled: int = field(default=0, metadata=_RECOVERY)
     #: Swapcache pages re-written back because their remote copy was lost.
-    pages_salvaged: int = 0
+    pages_salvaged: int = field(default=0, metadata=_RECOVERY)
     #: Pages evacuated off DRAINING nodes.
-    pages_drained: int = 0
+    pages_drained: int = field(default=0, metadata=_RECOVERY)
     #: Background repair traffic (bulk READs + WRITEs, and their bytes).
-    repair_reads: int = 0
-    repair_writes: int = 0
-    repair_bytes: int = 0
+    repair_reads: int = field(default=0, metadata=_RECOVERY)
+    repair_writes: int = field(default=0, metadata=_RECOVERY)
+    repair_bytes: int = field(default=0, metadata=_RECOVERY)
     #: Repair tasks re-queued after their transfer timed out.
-    repair_retries: int = 0
+    repair_retries: int = field(default=0, metadata=_RECOVERY)
     #: Directory lookups of slots with no entry (typed error path).
-    directory_misses: int = 0
+    directory_misses: int = field(default=0, metadata=_RECOVERY)
     #: Cross-layer sanitizer sweeps that ran (and passed) this run.
-    invariant_checks: int = 0
-    #: Accumulated-but-previously-unreported machine counters, surfaced
-    #: only under ``to_dict(full=True)`` (adding default keys would
-    #: break the golden byte-identity contract).
+    invariant_checks: int = field(default=0, metadata=_RECOVERY)
     #: Application compute time overlapped with memory stalls.
-    compute_us: float = 0.0
+    compute_us: float = field(default=0.0, metadata=_MACHINE)
     #: Memory-controller write accesses and total bytes moved.
-    mc_writes: int = 0
-    mc_bytes: int = 0
+    mc_writes: int = field(default=0, metadata=_MACHINE)
+    mc_bytes: int = field(default=0, metadata=_MACHINE)
     #: Reclaimer detail beyond ``reclaim_pages``.
-    reclaim_batches: int = 0
-    reclaim_clean_drops: int = 0
-    reclaim_writebacks: int = 0
-    reclaim_background_us: float = 0.0
+    reclaim_batches: int = field(default=0, metadata=_MACHINE)
+    reclaim_clean_drops: int = field(default=0, metadata=_MACHINE)
+    reclaim_writebacks: int = field(default=0, metadata=_MACHINE)
+    reclaim_background_us: float = field(default=0.0, metadata=_MACHINE)
     #: Swapcache traffic (inserts/hits/drops of prefetched pages).
-    swapcache_inserts: int = 0
-    swapcache_hits: int = 0
-    swapcache_drops: int = 0
-    #: HoPP-side occurrences with no RunResult home until now.
-    hopp_hot_pages_unresolved: int = 0
-    prefetch_duplicates: int = 0
-    prefetch_rejected: int = 0
-    fabric_drop_signals: int = 0
-    #: Telemetry export (None when telemetry was disabled — the key is
-    #: then absent from to_dict output, keeping goldens byte-identical).
-    telemetry: Optional[Dict[str, object]] = None
+    swapcache_inserts: int = field(default=0, metadata=_MACHINE)
+    swapcache_hits: int = field(default=0, metadata=_MACHINE)
+    swapcache_drops: int = field(default=0, metadata=_MACHINE)
+    #: HoPP-side occurrences: hot pages the RPT could not resolve, and
+    #: executor requests dropped as duplicates, rejected, or signalled
+    #: as fabric drops.
+    hopp_hot_pages_unresolved: int = field(default=0, metadata=_MACHINE)
+    prefetch_duplicates: int = field(default=0, metadata=_MACHINE)
+    prefetch_rejected: int = field(default=0, metadata=_MACHINE)
+    fabric_drop_signals: int = field(default=0, metadata=_MACHINE)
+    #: Telemetry export (None when telemetry was disabled).
+    telemetry: Optional[Dict[str, object]] = field(default=None, metadata=_MANUAL)
     #: Tenant-scale scenario section (admission ladder, SLO attainment,
     #: autoscaler timeline) attached by :mod:`repro.scenario`; None for
-    #: every non-scenario run — the key is then absent from to_dict
-    #: output, keeping goldens byte-identical.
-    scenario: Optional[Dict[str, object]] = None
+    #: every non-scenario run.
+    scenario: Optional[Dict[str, object]] = field(default=None, metadata=_MANUAL)
     #: Memory-tier section (per-tier read/writeback counters, promotion
     #: and demotion totals, migration traffic) attached by
-    #: :mod:`repro.memtier`; None whenever tiering is off — the key is
-    #: then absent from to_dict output, keeping goldens byte-identical.
-    memtier: Optional[Dict[str, object]] = None
+    #: :mod:`repro.memtier`; None whenever tiering is off.
+    memtier: Optional[Dict[str, object]] = field(default=None, metadata=_MANUAL)
     #: End-to-end integrity section (corruption detections/repairs,
     #: poisoned pages, scrub traffic, detection latency) attached by
     #: :mod:`repro.integrity`; None whenever neither corruption
-    #: injection nor the patrol scrubber was armed — the key is then
-    #: absent from to_dict output, keeping goldens byte-identical.
-    integrity: Optional[Dict[str, object]] = None
-    extra: Dict[str, float] = field(default_factory=dict)
+    #: injection nor the patrol scrubber was armed.
+    integrity: Optional[Dict[str, object]] = field(default=None, metadata=_MANUAL)
+    extra: Dict[str, float] = field(default_factory=dict, metadata=_MANUAL)
 
     # -- paper metrics ----------------------------------------------------------
 
@@ -214,76 +226,30 @@ class RunResult:
 
     # -- export -------------------------------------------------------------------
 
+    def _section(self, section: Optional[str]) -> Dict[str, object]:
+        return {
+            key: getattr(self, name) if copy is None else copy(getattr(self, name))
+            for name, key, copy in _LAYOUT[section]
+        }
+
     def to_dict(self, full: bool = False) -> Dict[str, object]:
         """A flat, JSON-serializable snapshot of the run (counters plus
         the derived paper metrics).
 
-        ``full=True`` additionally embeds the exact timeliness-histogram
-        state so :meth:`from_dict` can rebuild a RunResult that
-        serializes byte-identically — the result-cache contract."""
-        out: Dict[str, object] = {
-            "system": self.system,
-            "workload": self.workload,
-            "completion_time_us": self.completion_time_us,
-            "accesses": self.accesses,
-            "mc_reads": self.mc_reads,
-            "minor_faults": self.minor_faults,
-            "remote_demand_reads": self.remote_demand_reads,
-            "prefetch_hit_swapcache": self.prefetch_hit_swapcache,
-            "prefetch_hit_inflight": self.prefetch_hit_inflight,
-            "prefetch_hit_dram": self.prefetch_hit_dram,
-            "prefetch_issued": self.prefetch_issued,
-            "prefetch_wasted": self.prefetch_wasted,
-            "issued_by_tier": dict(self.issued_by_tier),
-            "hits_by_tier": dict(self.hits_by_tier),
-            "fabric_reads": self.fabric_reads,
-            "fabric_writes": self.fabric_writes,
-            "reclaim_pages": self.reclaim_pages,
-            "peak_resident_pages": self.peak_resident_pages,
-            "timeouts": self.timeouts,
-            "retries": self.retries,
-            "retry_latency_us": self.retry_latency_us,
-            "dropped_prefetches": self.dropped_prefetches,
-            "dropped_by_tier": dict(self.dropped_by_tier),
-            "degraded_mode_us": self.degraded_mode_us,
-            "breaker_opens": self.breaker_opens,
-            "prefetch_suppressed": self.prefetch_suppressed,
-            "cluster": {
-                "remote_nodes": self.remote_nodes,
-                "placement": self.placement,
-                "replication": self.replication,
-                "demand_failovers": self.demand_failovers,
-                "writeback_reroutes": self.writeback_reroutes,
-                "replica_writes": self.replica_writes,
-                "per_node": list(self.node_stats),
-            },
-            "recovery": {
-                "node_crashes": self.node_crashes,
-                "node_rejoins": self.node_rejoins,
-                "pages_repaired": self.pages_repaired,
-                "pages_lost": self.pages_lost,
-                "pages_zero_filled": self.pages_zero_filled,
-                "pages_salvaged": self.pages_salvaged,
-                "pages_drained": self.pages_drained,
-                "repair_reads": self.repair_reads,
-                "repair_writes": self.repair_writes,
-                "repair_bytes": self.repair_bytes,
-                "repair_retries": self.repair_retries,
-                "directory_misses": self.directory_misses,
-                "invariant_checks": self.invariant_checks,
-            },
-            "accuracy": self.accuracy,
-            "coverage": self.coverage,
-            "page_faults": self.page_faults,
-            "breakdown_us": {
-                "dram_hit": self.breakdown.dram_hit_us,
-                "prefetch_hit": self.breakdown.prefetch_hit_us,
-                "remote_fault": self.breakdown.remote_fault_us,
-                "inflight_wait": self.breakdown.inflight_wait_us,
-                "reclaim": self.breakdown.reclaim_us,
-            },
-            "extra": dict(self.extra),
+        Each field's ``metadata`` names its section; ``full=True`` adds
+        the ``machine`` section and the exact timeliness-histogram state so
+        :meth:`from_dict` can rebuild a RunResult that serializes
+        byte-identically — the result-cache contract."""
+        out = self._section(None)
+        out["cluster"] = self._section("cluster")
+        out["recovery"] = self._section("recovery")
+        out["accuracy"] = self.accuracy
+        out["coverage"] = self.coverage
+        out["page_faults"] = self.page_faults
+        out["breakdown_us"] = {
+            key: getattr(self.breakdown, name) for name, key in _BREAKDOWN_KEYS
         }
+        out["extra"] = dict(self.extra)
         if self.timeliness is not None and self.timeliness.stat.count:
             out["timeliness_us"] = {
                 "mean": self.timeliness.stat.mean,
@@ -291,31 +257,12 @@ class RunResult:
                 "p90": self.timeliness.quantile(0.9),
                 "count": self.timeliness.stat.count,
             }
-        if self.telemetry is not None:
-            out["telemetry"] = self.telemetry
-        if self.scenario is not None:
-            out["scenario"] = self.scenario
-        if self.memtier is not None:
-            out["memtier"] = self.memtier
-        if self.integrity is not None:
-            out["integrity"] = self.integrity
+        for name in _OPTIONAL_SECTIONS:
+            value = getattr(self, name)
+            if value is not None:
+                out[name] = value
         if full:
-            out["machine"] = {
-                "compute_us": self.compute_us,
-                "mc_writes": self.mc_writes,
-                "mc_bytes": self.mc_bytes,
-                "reclaim_batches": self.reclaim_batches,
-                "reclaim_clean_drops": self.reclaim_clean_drops,
-                "reclaim_writebacks": self.reclaim_writebacks,
-                "reclaim_background_us": self.reclaim_background_us,
-                "swapcache_inserts": self.swapcache_inserts,
-                "swapcache_hits": self.swapcache_hits,
-                "swapcache_drops": self.swapcache_drops,
-                "hopp_hot_pages_unresolved": self.hopp_hot_pages_unresolved,
-                "prefetch_duplicates": self.prefetch_duplicates,
-                "prefetch_rejected": self.prefetch_rejected,
-                "fabric_drop_signals": self.fabric_drop_signals,
-            }
+            out["machine"] = self._section("machine")
             if self.timeliness is not None:
                 stat = self.timeliness.stat
                 out["timeliness_hist"] = {
@@ -337,17 +284,24 @@ class RunResult:
 
         The round trip is exact: ``from_dict(r.to_dict(full=True))``
         serializes byte-identically to ``r`` (pinned by the cache tests).
-        Derived metrics (accuracy, coverage, ...) are recomputed from the
+        A missing key leaves its field at the declared default.  Derived
+        metrics (accuracy, coverage, ...) are recomputed from the
         restored counters, never trusted from the snapshot."""
+        kwargs: Dict[str, object] = {}
+        for section, entries in _LAYOUT.items():
+            source = data if section is None else data.get(section, {})
+            for name, key, copy in entries:
+                if key in source:
+                    value = source[key]
+                    kwargs[name] = value if copy is None else copy(value)
         breakdown_us = data.get("breakdown_us", {})
-        breakdown = FaultBreakdown(
-            dram_hit_us=breakdown_us.get("dram_hit", 0.0),
-            prefetch_hit_us=breakdown_us.get("prefetch_hit", 0.0),
-            remote_fault_us=breakdown_us.get("remote_fault", 0.0),
-            inflight_wait_us=breakdown_us.get("inflight_wait", 0.0),
-            reclaim_us=breakdown_us.get("reclaim", 0.0),
+        kwargs["breakdown"] = FaultBreakdown(
+            **{
+                name: breakdown_us[key]
+                for name, key in _BREAKDOWN_KEYS
+                if key in breakdown_us
+            }
         )
-        timeliness = None
         hist = data.get("timeliness_hist")
         if hist is not None:
             timeliness = Histogram(bounds=hist["bounds"])
@@ -358,76 +312,32 @@ class RunResult:
             timeliness.stat._m2 = stat["m2"]
             timeliness.stat.min = stat["min"]
             timeliness.stat.max = stat["max"]
-        cluster = data.get("cluster", {})
-        recovery = data.get("recovery", {})
-        machine = data.get("machine", {})
-        result = cls(
-            system=data["system"],
-            workload=data["workload"],
-            completion_time_us=data.get("completion_time_us", 0.0),
-            accesses=data.get("accesses", 0),
-            mc_reads=data.get("mc_reads", 0),
-            minor_faults=data.get("minor_faults", 0),
-            remote_demand_reads=data.get("remote_demand_reads", 0),
-            prefetch_hit_swapcache=data.get("prefetch_hit_swapcache", 0),
-            prefetch_hit_inflight=data.get("prefetch_hit_inflight", 0),
-            prefetch_hit_dram=data.get("prefetch_hit_dram", 0),
-            prefetch_issued=data.get("prefetch_issued", 0),
-            prefetch_wasted=data.get("prefetch_wasted", 0),
-            issued_by_tier=dict(data.get("issued_by_tier", {})),
-            hits_by_tier=dict(data.get("hits_by_tier", {})),
-            breakdown=breakdown,
-            timeliness=timeliness,
-            fabric_reads=data.get("fabric_reads", 0),
-            fabric_writes=data.get("fabric_writes", 0),
-            reclaim_pages=data.get("reclaim_pages", 0),
-            peak_resident_pages=data.get("peak_resident_pages", 0),
-            timeouts=data.get("timeouts", 0),
-            retries=data.get("retries", 0),
-            retry_latency_us=data.get("retry_latency_us", 0.0),
-            dropped_prefetches=data.get("dropped_prefetches", 0),
-            dropped_by_tier=dict(data.get("dropped_by_tier", {})),
-            degraded_mode_us=data.get("degraded_mode_us", 0.0),
-            breaker_opens=data.get("breaker_opens", 0),
-            prefetch_suppressed=data.get("prefetch_suppressed", 0),
-            remote_nodes=cluster.get("remote_nodes", 1),
-            placement=cluster.get("placement", "interleave"),
-            replication=cluster.get("replication", 1),
-            demand_failovers=cluster.get("demand_failovers", 0),
-            writeback_reroutes=cluster.get("writeback_reroutes", 0),
-            replica_writes=cluster.get("replica_writes", 0),
-            node_stats=list(cluster.get("per_node", [])),
-            node_crashes=recovery.get("node_crashes", 0),
-            node_rejoins=recovery.get("node_rejoins", 0),
-            pages_repaired=recovery.get("pages_repaired", 0),
-            pages_lost=recovery.get("pages_lost", 0),
-            pages_zero_filled=recovery.get("pages_zero_filled", 0),
-            pages_salvaged=recovery.get("pages_salvaged", 0),
-            pages_drained=recovery.get("pages_drained", 0),
-            repair_reads=recovery.get("repair_reads", 0),
-            repair_writes=recovery.get("repair_writes", 0),
-            repair_bytes=recovery.get("repair_bytes", 0),
-            repair_retries=recovery.get("repair_retries", 0),
-            directory_misses=recovery.get("directory_misses", 0),
-            invariant_checks=recovery.get("invariant_checks", 0),
-            compute_us=machine.get("compute_us", 0.0),
-            mc_writes=machine.get("mc_writes", 0),
-            mc_bytes=machine.get("mc_bytes", 0),
-            reclaim_batches=machine.get("reclaim_batches", 0),
-            reclaim_clean_drops=machine.get("reclaim_clean_drops", 0),
-            reclaim_writebacks=machine.get("reclaim_writebacks", 0),
-            reclaim_background_us=machine.get("reclaim_background_us", 0.0),
-            swapcache_inserts=machine.get("swapcache_inserts", 0),
-            swapcache_hits=machine.get("swapcache_hits", 0),
-            swapcache_drops=machine.get("swapcache_drops", 0),
-            hopp_hot_pages_unresolved=machine.get("hopp_hot_pages_unresolved", 0),
-            prefetch_duplicates=machine.get("prefetch_duplicates", 0),
-            prefetch_rejected=machine.get("prefetch_rejected", 0),
-            fabric_drop_signals=machine.get("fabric_drop_signals", 0),
-            telemetry=data.get("telemetry"),
-            scenario=data.get("scenario"),
-            memtier=data.get("memtier"),
-            integrity=data.get("integrity"),
-            extra=dict(data.get("extra", {})),
+            kwargs["timeliness"] = timeliness
+        for name in _OPTIONAL_SECTIONS:
+            kwargs[name] = data.get(name)
+        kwargs["extra"] = dict(data.get("extra", {}))
+        return cls(**kwargs)
+
+
+#: Wire layout, computed once: per section (None = the top level), the
+#: ``(field name, wire key, copy)`` of every field not handled by hand,
+#: in declaration order.  ``copy`` is the field's ``dict``/``list``
+#: factory for container fields (snapshots never alias the result) and
+#: None for scalars.
+_LAYOUT: Dict[Optional[str], Tuple[Tuple[str, str, Optional[Callable]], ...]] = {
+    section: tuple(
+        (
+            f.name,
+            f.metadata.get("key", f.name),
+            f.default_factory if f.default_factory in (dict, list) else None,
         )
-        return result
+        for f in fields(RunResult)
+        if not f.metadata.get("manual") and f.metadata.get("section") == section
+    )
+    for section in (None, "cluster", "recovery", "machine")
+}
+
+#: ``breakdown_us`` keys are FaultBreakdown's field names minus ``_us``.
+_BREAKDOWN_KEYS = tuple(
+    (f.name, f.name[: -len("_us")]) for f in fields(FaultBreakdown)
+)

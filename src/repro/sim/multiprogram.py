@@ -16,7 +16,6 @@ the wiring.
 
 from __future__ import annotations
 
-import math
 import random
 from typing import Iterator, List, Optional, Tuple, Union
 
@@ -24,7 +23,7 @@ from repro.net.rdma import FabricConfig
 from repro.sim import systems as systems_mod
 from repro.sim.machine import Machine, MachineConfig
 from repro.sim.metrics import RunResult
-from repro.sim.runner import collect
+from repro.sim.runner import cgroup_limit, collect
 from repro.sim.systems import SystemSpec
 from repro.workloads.base import Workload
 
@@ -57,13 +56,6 @@ def shift_pids(
 ) -> Iterator[Tuple[int, int]]:
     for pid, vaddr in trace:
         yield pid + offset, vaddr
-
-
-def cgroup_limit(workload: Workload, local_memory_fraction: float) -> int:
-    """Per-app cgroup budget: a fraction of the footprint, floor 8."""
-    return max(
-        int(math.ceil(workload.footprint_pages * local_memory_fraction)), 8
-    )
 
 
 def attach_workload(
@@ -142,8 +134,3 @@ def run_corun(
     machine.run(interleave_traces(traces, rng, slice_accesses))
     names = "+".join(w.name for w in workloads)
     return collect(machine, spec.name, names)
-
-
-#: Backwards-compatible aliases (pre-scenario private names).
-_interleave_traces = interleave_traces
-_shift_pids = shift_pids

@@ -29,6 +29,11 @@ def _resolve(system: Union[str, SystemSpec]) -> SystemSpec:
     return systems_mod.build(system)
 
 
+def cgroup_limit(workload: Workload, local_memory_fraction: float) -> int:
+    """A workload's cgroup budget: a fraction of its footprint, floor 8."""
+    return max(int(math.ceil(workload.footprint_pages * local_memory_fraction)), 8)
+
+
 def make_machine(
     workload: Workload,
     system: Union[str, SystemSpec],
@@ -46,9 +51,8 @@ def make_machine(
     if local_memory_fraction <= 0:
         raise ValueError("local_memory_fraction must be > 0")
     spec = _resolve(system)
-    limit = max(int(math.ceil(workload.footprint_pages * local_memory_fraction)), 8)
     config = MachineConfig(
-        local_memory_pages=limit,
+        local_memory_pages=cgroup_limit(workload, local_memory_fraction),
         fabric=fabric or FabricConfig(),
         compute_us_per_access=workload.compute_us_per_access,
         fault_plan=fault_plan,

@@ -293,10 +293,12 @@ class TestBatchPrimitives:
 
 
 class TestFastPathGating:
-    def test_sanitizer_forces_slow_loop(self):
-        # With the invariant sanitizer armed the dispatcher must take
-        # the per-access loop (the sanitizer sweeps every N accesses,
-        # so the trace must be long enough to cross that interval).
+    def test_sanitizer_alone_replays_batched(self):
+        # With only the invariant sanitizer armed (no fault plan, so no
+        # timed events) the batch kernel still replays the run, and its
+        # access-count deadline alone keeps it equal to the oracle (the
+        # sanitizer sweeps every N accesses, so the trace must be long
+        # enough to cross that interval).
         workload = build("stream-simple", seed=3, npages=256, passes=10)
         trace = list(workload.trace())
         assert len(trace) >= 2000
@@ -306,6 +308,7 @@ class TestFastPathGating:
         b = make_machine(workload, "hopp", 0.5, quiet_fabric(3),
                          check_invariants=True)
         b.run(trace, use_fast_path=False)
+        assert a.replay_engine == "batched"
         assert collect(a, "hopp", "s").to_dict(full=True) == \
             collect(b, "hopp", "s").to_dict(full=True)
         assert a.sanitizer.checks_run > 0

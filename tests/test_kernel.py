@@ -272,10 +272,6 @@ class TestReclaimer:
         assert reclaimer.stats.clean_drops == 4
         assert reclaimer.stats.writebacks == 6
 
-    def test_bad_batch_size(self):
-        with pytest.raises(ValueError):
-            Reclaimer(batch_size=0)
-
 
 class TestVma:
     def test_add_and_find(self):
