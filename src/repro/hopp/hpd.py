@@ -110,7 +110,8 @@ class HotPageDetector:
         crossed mid-run the method consumes only the reads up to and
         including the firing one (``fired`` True) — the caller re-enters
         with the remainder after the extraction pipeline has run, exactly
-        as the per-access loop would have.
+        as the per-access loop would have.  A run on an already-extracted
+        page (send bit set) only bumps the drop counters.
         """
         if reads <= 0:
             return 0, False
@@ -150,29 +151,6 @@ class HotPageDetector:
         entry.count += need
         self._extract(ppn, entry)
         return used + need, True
-
-    def process_batch(self, paddrs, writes=None) -> tuple:
-        """Feed a batch of MC accesses; stop at the first extraction.
-
-        ``writes`` is a parallel is-write sequence (None means all
-        reads).  Returns ``(consumed, hot_ppn)`` where ``consumed``
-        counts the accesses processed — all of them when no page went
-        hot (``hot_ppn`` None), else up to and including the firing
-        access.  Equivalent to calling :meth:`process` per access and
-        stopping at the first non-None result.
-        """
-        process = self.process
-        if writes is None:
-            for idx, paddr in enumerate(paddrs):
-                hot = process(paddr, False)
-                if hot is not None:
-                    return idx + 1, hot
-        else:
-            for idx, paddr in enumerate(paddrs):
-                hot = process(paddr, writes[idx])
-                if hot is not None:
-                    return idx + 1, hot
-        return len(paddrs), None
 
     def _extract(self, ppn: int, entry: Optional[HpdEntry]) -> int:
         if entry is not None:
@@ -260,10 +238,12 @@ class MultiChannelHpd:
 
     def process_batch(self, paddrs, writes=None) -> tuple:
         """Batch interface for the chunked kernel (HMTT drains bursts,
-        not single events).  Routes each access to its channel's
-        detector and stops at the first extraction; returns
-        ``(consumed, hot_ppn)`` with the same contract as
-        :meth:`HotPageDetector.process_batch`.
+        not single events).  ``writes`` is a parallel is-write sequence
+        (None means all reads).  Routes each access to its channel's
+        detector and stops at the first extraction.  Returns
+        ``(consumed, hot_ppn)``: ``consumed`` counts the accesses
+        processed — all of them when no page went hot (``hot_ppn``
+        None), else up to and including the firing access.
         """
         detectors = self._detectors
         channel_of = self.channel_of

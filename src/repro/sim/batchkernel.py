@@ -34,23 +34,22 @@ Each run is then retired with O(1) bookkeeping instead of O(run):
 * the LRU touch is applied once per run (touching an already-MRU key
   again is a no-op, so consecutive duplicates collapse exactly),
 * MC read/write/byte counters accumulate in locals and flush at
-  extraction barriers and at the chunk edge,
-* the float accumulators (``now_us``, ``compute_us``,
-  ``dram_hit_us``) advance by *the same sequence of float additions*
-  as the oracle — per access the oracle computes
-  ``cost = T_DRAM_HIT_US`` then ``cost += compute``, so the per-access
-  ``now`` increment is exactly ``T_DRAM_HIT_US + compute`` rounded
-  once, which is loop-invariant.  Resident retirements are therefore
-  *deferred*: the kernel counts them and replays the addition chain
-  (Python fold for short chains, 1-D ``numpy.cumsum`` for long ones —
-  both perform identical sequential additions, verified bit-for-bit)
-  at the next barrier that actually reads the accumulators.
+  extraction barriers and at the chunk edge.
+
+Only the float accumulators (``now_us``, ``compute_us``,
+``dram_hit_us``) still take one step per access, because they must
+advance by *the same sequence of float additions* as the oracle.  Per
+access the oracle computes ``cost = T_DRAM_HIT_US`` then ``cost +=
+compute``, so the per-access ``now`` increment is exactly
+``T_DRAM_HIT_US + compute`` rounded once, which is loop-invariant; each
+sub-run adds it once per access (:func:`_seq_add3`) as it retires.
 
 There is one chunk engine.  Each chunk is first normalised to columns
-(pids, vaddrs, and is-write flags or None for a read-only chunk), then
-converted to arrays once; a single vectorized comparison finds every
-same-page run boundary, and the engine walks runs instead of accesses.
-Any chunk length works, down to ``chunk_size=1``.
+(pids, vaddrs, and is-write flags or None for a read-only chunk); one
+pass of C-level iterators over the vpn column (and the pid column, when
+the chunk holds more than one pid) finds every same-page run boundary,
+and the engine walks runs instead of accesses.  Any chunk length
+works, down to ``chunk_size=1``.
 
 Exactness of the timed barriers: the oracle lands every arrival with
 ``arrivals[0][0] <= now`` before an access's residency check, and its
@@ -69,15 +68,11 @@ it counts the fitting accesses by repeating the oracle's own
 is due at ``now``).  With the sanitizer armed the budget is also
 clipped so the access whose 1-based count is a multiple of
 ``sanitizer_interval_accesses`` (or, after recovery events, the very
-next access) is never retired in the kernel.  Deferred chains never
-span a timed check: a pending chain exists only while no timed
-deadline is pending — the arrivals heap is empty and no health monitor
-is armed (an armed monitor always has a heartbeat pending) — and every
-residency miss, due event, extraction, and chunk edge flushes it.
+next access) is never retired in the kernel.
 
 An access at which a timed event falls due, and a residency miss (a
-missing, non-PRESENT, or prefetched PTE), both flush the kernel's
-deferred state and take exactly that access through
+missing, non-PRESENT, or prefetched PTE), both store the kernel's
+locals into the machine and take exactly that access through
 :meth:`Machine.access` — the only definition of a fault and of the
 event order (arrivals, heartbeat, repair pump, sanitizer) — then
 reload, re-reading the deadlines, which only :meth:`Machine.access` and
@@ -90,10 +85,9 @@ by kind, into :attr:`Machine.replay_barriers`.
 from __future__ import annotations
 
 import math
-from itertools import islice
+from itertools import accumulate, compress, islice
+from operator import ne, or_
 from typing import Optional
-
-import numpy as np
 
 from repro.common.constants import BLOCK_SIZE, PAGE_SHIFT, T_DRAM_HIT_US
 from repro.hopp.hpd import HotPageDetector, MultiChannelHpd
@@ -107,10 +101,6 @@ PAGE_OFFSET_MASK = (1 << PAGE_SHIFT) - 1
 #: sequential additions) valid.
 DEFAULT_CHUNK = 4096
 
-#: Chain length at which replaying deferred additions switches from a
-#: Python fold to one ``numpy.cumsum`` pass (bit-identical either way).
-CUMSUM_MIN = 32
-
 #: Barrier kinds counted into :attr:`Machine.replay_barriers`: a due
 #: prefetch arrival landed, a residency miss, an HPD extraction, a timed
 #: event (heartbeat, repair/scrub issue, sanitizer sweep) falling due,
@@ -122,29 +112,14 @@ BARRIER_KINDS = ("arrival", "residency_miss", "extraction", "timed_event",
 _NO_LIMIT = 1 << 62
 
 
-def _seq_add3(a, b, c, ca, cb, cc, k, buf3):
+def _seq_add3(a, b, c, ca, cb, cc, k):
     """Advance three accumulators by ``k`` sequential additions each
-    (``a += ca``, ``b += cb``, ``c += cc``).
-
-    Long chains pay one cumsum (a row-wise pass over a ``(3, k+1)``
-    view of ``buf3``).  Each row is summed left to right one element at
-    a time, so every chain's result is bit-identical to the per-access
-    loop's (pinned by the unit and differential tests)."""
-    if k >= CUMSUM_MIN:
-        view = buf3[:, : k + 1]
-        view[0, 1:] = ca
-        view[1, 1:] = cb
-        view[2, 1:] = cc
-        view[0, 0] = a
-        view[1, 0] = b
-        view[2, 0] = c
-        out = view.cumsum(axis=1)
-        return float(out[0, k]), float(out[1, k]), float(out[2, k])
-    while k:
+    (``a += ca``, ``b += cb``, ``c += cc``): the per-access loop's own
+    additions, in its order, so the results are bit-identical."""
+    for _ in range(k):
         a += ca
         b += cb
         c += cc
-        k -= 1
     return a, b, c
 
 
@@ -182,7 +157,6 @@ class BatchKernel:
         self.machine = machine
         self.plane = plane
         self.chunk = chunk_size or DEFAULT_CHUNK
-        self.seq_buf3 = np.empty((3, self.chunk + 1))
 
     def _deadlines(self, accesses: int):
         """The machine's live deadlines, for a kernel that has retired
@@ -252,8 +226,8 @@ class BatchKernel:
         timed = m.health is not None or m.sanitizer is not None
         deadlines = self._deadlines
         tdue, alimit = deadlines(m.accesses) if timed else (math.inf, _NO_LIMIT)
-        #: An armed health monitor always has a heartbeat pending, so
-        #: ``now`` must stay exact and no deferred chain may form.
+        #: An armed health monitor always has a next heartbeat, so
+        #: ``tdue`` is finite exactly when ``clocked``.
         clocked = m.health is not None
         n_arrival = n_miss = n_extract = n_timed = 0
 
@@ -263,41 +237,23 @@ class BatchKernel:
         process_run = hpd.process_run if single else None
         on_hot_page = plane.on_hot_page if plane is not None else None
 
-        if single:
-            # Inline probe state for the sent-page fast case: a run on
-            # an already-extracted page is pure counter math, deferred
-            # into locals and flushed at the same barriers as the MC
-            # counters (all additions commute).
-            hpd_table = hpd._table
-            hpd_sets = hpd_table._sets
-            hpd_nsets = hpd_table.nsets
-        dh_thits = 0  # deferred SetAssociativeTable.hits
-        dh_acc = 0  # deferred HotPageDetector.accesses
-        dh_drop = 0  # deferred dropped_after_send
-        dh_wign = 0  # deferred writes_ignored
-
         hot: dict = {}
-        buf3 = self.seq_buf3
         seq_add3 = _seq_add3
 
         n = len(pids_t)
-        # One vectorized pass finds every same-page run boundary; the
-        # main loop then walks runs, not accesses.
-        va = np.array(vaddrs_t, dtype=np.int64)
-        vp = va >> page_shift
-        pd = np.array(pids_t, dtype=np.int64)
-        same = (vp[1:] == vp[:-1]) & (pd[1:] == pd[:-1])
-        bounds = (np.flatnonzero(~same) + 1).tolist()
-        bounds.append(n)
-        if writes_t is not None:
-            # wr_cum[j] = number of writes among the chunk's first j
-            # accesses; O(1) write counts for any sub-run even when a
-            # budget barrier splits it.
-            wr_cum = np.concatenate(
-                ([0], np.cumsum(np.array(writes_t, dtype=np.int64)))
-            ).tolist()
-        else:
-            wr_cum = None
+        # Every same-page run boundary, found at C level: the indices
+        # whose vpn (or, in a chunk of several pids, pid) differs from
+        # the previous access's.  The main loop then walks runs, not
+        # accesses.
+        vpns = [vaddr >> page_shift for vaddr in vaddrs_t]
+        changed = map(ne, vpns, vpns[1:])
+        if pids_t.count(pids_t[0]) != n:
+            changed = map(or_, changed, map(ne, pids_t, pids_t[1:]))
+        bounds = [*compress(range(1, n), changed), n]
+        # wr_cum[j] = number of writes among the chunk's first j
+        # accesses; O(1) write counts for any sub-run even when a
+        # budget barrier splits it.
+        wr_cum = None if writes_t is None else list(accumulate(writes_t, initial=0))
 
         i = 0
         b = 0
@@ -308,19 +264,13 @@ class BatchKernel:
         dram = breakdown.dram_hit_us
         mc_reads = 0
         mc_writes = 0
-        #: Deferred resident retirements: number of pending
-        #: ``+= cost0 / t_dram / compute`` additions.  Non-zero only
-        #: while no timed deadline is pending (flushed at every
-        #: barrier).
-        pend = 0
         while i < n:
             if i >= end:
                 b += 1
                 end = bounds[b]
                 continue
             pid = pids_t[i]
-            vaddr = vaddrs_t[i]
-            vpn = vaddr >> page_shift
+            vpn = vpns[i]
             # -- barrier checks: due/imminent arrival, residency --------
             if arrivals and arrivals[0][0] <= now:
                 # Barrier: due arrivals land before this access's
@@ -341,31 +291,18 @@ class BatchKernel:
                 or (timed and (now >= tdue or accesses >= alimit))
             ):
                 # Barrier: residency miss, or a timed event due at this
-                # access.  Flush every deferred chain and counter, take
-                # this one access through Machine.access (which lands
-                # nothing new, then ticks, pumps and sanitizes exactly
-                # as the oracle does), and reload.
+                # access.  Take this one access through Machine.access
+                # (which lands nothing new, then ticks, pumps and
+                # sanitizes exactly as the oracle does), and reload.
                 if pte is None or pte.state is not present or pte.prefetched:
                     n_miss += 1
                 else:
                     n_timed += 1
-                if pend:
-                    now, dram, compute_us = seq_add3(
-                        now, dram, compute_us, cost0, t_dram, compute,
-                        pend, buf3,
-                    )
-                    pend = 0
-                if dh_acc or dh_wign:
-                    hpd_table.hits += dh_thits
-                    hpd.accesses += dh_acc
-                    hpd.dropped_after_send += dh_drop
-                    hpd.writes_ignored += dh_wign
-                    dh_thits = dh_acc = dh_drop = dh_wign = 0
                 m.now_us = now
                 m.accesses = accesses
                 m.compute_us = compute_us
                 breakdown.dram_hit_us = dram
-                access(pid, vaddr, False if writes_t is None else writes_t[i])
+                access(pid, vaddrs_t[i], False if writes_t is None else writes_t[i])
                 now = m.now_us
                 accesses = m.accesses
                 compute_us = m.compute_us
@@ -405,34 +342,8 @@ class BatchKernel:
             hot_ppn = None
             if single:
                 reads = avail - nw
-                ppn = pte.ppn
-                entry = hpd_sets[ppn % hpd_nsets].get(ppn)
-                if entry is not None and entry.sent:
-                    # Already-extracted page: every READ drops after
-                    # send — pure deferred counter math, no extraction
-                    # possible.  ``process``/``process_run`` would do
-                    # one recency touch for the run's reads.
-                    if reads:
-                        hpd_sets[ppn % hpd_nsets].move_to_end(ppn)
-                        dh_thits += reads
-                        dh_acc += reads
-                        dh_drop += reads
-                    dh_wign += nw
-                    mc_writes += nw
-                    mc_reads += reads
-                    accesses += avail
-                    cached[1].touch(pid, vpn)
-                    i += avail
-                    if arrivals or clocked:
-                        now, dram, compute_us = seq_add3(
-                            now, dram, compute_us, cost0, t_dram, compute,
-                            avail, buf3,
-                        )
-                    else:
-                        pend += avail
-                    continue
                 if reads:
-                    reads_used, fired = process_run(ppn, reads)
+                    reads_used, fired = process_run(pte.ppn, reads)
                     if fired:
                         hot_ppn = pte.ppn
                         if nw == 0:
@@ -475,20 +386,12 @@ class BatchKernel:
             accesses += consumed
             cached[1].touch(pid, vpn)
             i += consumed
+            now, dram, compute_us = seq_add3(
+                now, dram, compute_us, cost0, t_dram, compute, consumed
+            )
             # -- barrier: extraction pipeline ---------------------------
             if hot_ppn is not None:
                 n_extract += 1
-                now, dram, compute_us = seq_add3(
-                    now, dram, compute_us, cost0, t_dram, compute,
-                    pend + consumed, buf3,
-                )
-                pend = 0
-                if dh_acc or dh_wign:
-                    hpd_table.hits += dh_thits
-                    hpd.accesses += dh_acc
-                    hpd.dropped_after_send += dh_drop
-                    hpd.writes_ignored += dh_wign
-                    dh_thits = dh_acc = dh_drop = dh_wign = 0
                 m.now_us = now
                 m.accesses = accesses
                 m.compute_us = compute_us
@@ -507,26 +410,6 @@ class BatchKernel:
                 dram = breakdown.dram_hit_us
                 if timed:
                     tdue, alimit = deadlines(accesses)
-            elif arrivals or clocked:
-                # Budget-limited sub-run: the next barrier check reads
-                # ``now``, so the chain cannot stay deferred (pend is
-                # already 0 — it only grows while no timed deadline is
-                # pending).
-                now, dram, compute_us = seq_add3(
-                    now, dram, compute_us, cost0, t_dram, compute,
-                    consumed, buf3,
-                )
-            else:
-                pend += consumed
-        if pend:
-            now, dram, compute_us = seq_add3(
-                now, dram, compute_us, cost0, t_dram, compute, pend, buf3
-            )
-        if dh_acc or dh_wign:
-            hpd_table.hits += dh_thits
-            hpd.accesses += dh_acc
-            hpd.dropped_after_send += dh_drop
-            hpd.writes_ignored += dh_wign
         m.now_us = now
         m.accesses = accesses
         m.compute_us = compute_us

@@ -1,5 +1,11 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
@@ -332,3 +338,34 @@ class TestNumericFlagValidation:
         assert main(argv + ["--no-cache"]) == 2
         err = capsys.readouterr().err
         assert flag in err and "must be > 0" in err
+
+
+class TestRuntimeDependencies:
+    def test_cold_and_warm_run_import_no_numpy(self, tmp_path):
+        # The package declares no runtime dependencies: importing the
+        # CLI, cache and runner, and a cold then a warm (cache-hit)
+        # `repro run`, must leave numpy unimported.  A fresh interpreter
+        # keeps other tests' imports out of sys.modules.
+        script = textwrap.dedent(f"""
+            import contextlib, io, sys
+            import repro, repro.cli, repro.exec.cache, repro.sim.runner
+            for _ in ("cold", "warm"):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code = repro.cli.main([
+                        "run", "-w", "stream-simple", "-s", "hopp",
+                        "--cache-dir", {str(tmp_path / "cache")!r},
+                    ])
+                assert code == 0, code
+            print("numpy" in sys.modules)
+        """)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, check=True,
+            capture_output=True, text=True, timeout=300,
+        ).stdout
+        assert out.strip() == "False"
+        assert list((tmp_path / "cache").rglob("*.json"))

@@ -191,13 +191,10 @@ class TestBatchPrimitives:
     """The kernel's building blocks against their per-access originals."""
 
     def test_seq_add_chains_bit_identical(self):
-        # The deferred-retirement replay must perform the same float
-        # additions as the oracle's per-access loop, through both the
-        # Python fold and the cumsum branches.
-        import numpy as np
-
+        # Each retired sub-run must perform the same float additions as
+        # the oracle's per-access loop, for every chain length a sub-run
+        # can have (0 up to a whole 4096-access chunk).
         rng = random.Random(7)
-        buf3 = np.empty((3, 5001))
         for _ in range(200):
             k = rng.choice([0, 1, 31, 32, 33, 64, 1000, 4096])
             consts = [rng.uniform(0.001, 3.0) for _ in range(3)]
@@ -209,7 +206,7 @@ class TestBatchPrimitives:
                 want.append(x)
             got = list(batchkernel._seq_add3(
                 starts[0], starts[1], starts[2],
-                consts[0], consts[1], consts[2], k, buf3,
+                consts[0], consts[1], consts[2], k,
             ))
             assert got == want
 
@@ -479,6 +476,58 @@ class TestMultiChannelKernel:
                 hot_pages = machine.hopp.hpd.hot_pages
             else:
                 assert machine.hopp.hpd.hot_pages == hot_pages > 0
+        assert results[0] == results[1]
+
+
+class TestCorunRunBoundaries:
+    """Two pids touching the same vaddr back to back: a same-page run
+    ends at every pid change, not only at vpn changes, or the second
+    pid's accesses would retire against the first pid's PTE."""
+
+    @staticmethod
+    def _trace(workload):
+        from repro.sim.multiprogram import PID_STRIDE
+
+        proc = workload.processes[0]
+        pid_a, pid_b = proc.pid, proc.pid + PID_STRIDE
+        start_vpn, vma_pages, _ = proc.vmas[0]
+        trace = []
+        for _ in range(3):
+            for vpn in range(start_vpn, start_vpn + min(48, vma_pages)):
+                base = vpn << PAGE_SHIFT
+                # Runs of 16 per pid (pid_b's first touch of the page
+                # follows pid_a's run), then alternate access by access.
+                for pid in (pid_a, pid_b):
+                    trace += [(pid, base | (block << BLOCK_SHIFT))
+                              for block in range(16)]
+                for block in range(16, 32):
+                    addr = base | (block << BLOCK_SHIFT)
+                    trace += [(pid_a, addr), (pid_b, addr)]
+        return trace
+
+    @pytest.mark.parametrize("chunk", [None, 64, 1])
+    @pytest.mark.parametrize("system", ["hopp", "fastswap"])
+    def test_matches_oracle(self, system, chunk):
+        from repro.sim.machine import MachineConfig
+        from repro.sim.multiprogram import build_corun_machine
+
+        apps = [build("stream-simple", seed=3) for _ in range(2)]
+        trace = self._trace(apps[0])
+        results = []
+        for fast in (True, False):
+            config = MachineConfig(
+                local_memory_pages=sum(a.footprint_pages for a in apps),
+                fabric=quiet_fabric(3),
+                compute_us_per_access=apps[0].compute_us_per_access,
+            )
+            machine, _ = build_corun_machine(
+                apps, systems_mod.build(system), 0.5, config
+            )
+            machine.run(trace, use_fast_path=fast, chunk_size=chunk)
+            machine.flush_recovery()
+            results.append(collect(machine, system, "corun").to_dict(full=True))
+            if fast:
+                assert machine.replay_engine == "batched"
         assert results[0] == results[1]
 
 
