@@ -18,7 +18,11 @@ one measures the reproduction *machinery*:
   process-pool speedup (skipped on 1-core boxes, where it would only
   measure pool overhead);
 * the same grid against a cold vs warm result cache — the price of a
-  miss and the (near-zero) price of a hit.
+  miss and the (near-zero) price of a hit;
+* end to end: the wall time of a whole ``repro run`` process, cold
+  (empty result cache) and warm (served from the cache), and of bare
+  ``import repro.cli`` — interpreter start and imports included, the
+  cost a user pays per command.
 
 Emits ``BENCH_harness.json`` next to the repo root (or ``--out``) so CI
 can archive throughput over time.  ``--quick`` shrinks the workloads
@@ -40,11 +44,14 @@ import argparse
 import gc
 import json
 import os
+import statistics
+import subprocess
 import sys
 import tempfile
 import time
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+sys.path.insert(0, SRC)
 
 from repro.cluster.cluster import ClusterConfig
 from repro.common.constants import BLOCK_SHIFT, PAGE_SHIFT
@@ -376,6 +383,46 @@ def bench_cache(specs, cache_root):
     }
 
 
+#: The end-to-end command: one Figure 9 point, HoPP on omp-kmeans at
+#: half local memory (the CLI also runs its CT_local point).
+END_TO_END_RUN = ["-m", "repro", "run", "-w", "omp-kmeans", "-s", "hopp",
+                  "-f", "0.5"]
+
+
+def _wall(args, env):
+    """Wall seconds of one fresh ``python`` process running ``args``."""
+    start = time.perf_counter()
+    subprocess.run([sys.executable, *args], env=env, check=True,
+                   stdout=subprocess.DEVNULL)
+    return time.perf_counter() - start
+
+
+def bench_end_to_end(runs=5):
+    """Median wall time of whole CLI processes, ``runs`` rounds each.
+
+    Each round runs, in this order: a cold ``repro run`` into a fresh
+    result cache, a warm one served from that cache, and a bare
+    ``python -c "import repro.cli"``.  Interleaving exposes the three
+    to the same host noise.  The warm run does no simulation, so it is
+    almost all interpreter start and imports."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    samples = {"cold_run_s": [], "warm_run_s": [], "import_cli_s": []}
+    with tempfile.TemporaryDirectory(prefix="repro-bench-e2e-") as tmp:
+        for round_index in range(runs):
+            cache = ["--cache-dir", os.path.join(tmp, str(round_index))]
+            samples["cold_run_s"].append(_wall(END_TO_END_RUN + cache, env))
+            samples["warm_run_s"].append(_wall(END_TO_END_RUN + cache, env))
+            samples["import_cli_s"].append(
+                _wall(["-c", "import repro.cli"], env)
+            )
+    out = {"command": "python " + " ".join(END_TO_END_RUN), "runs": runs}
+    for name, times in samples.items():
+        out[name] = statistics.median(times)
+        out[f"{name}_samples"] = times
+    return out
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--jobs", "-j", type=int, default=4)
@@ -506,6 +553,15 @@ def main(argv=None):
         f"all_hits={cache['all_hits']}"
     )
 
+    print("end to end (whole CLI processes) ...", flush=True)
+    end_to_end = bench_end_to_end(runs=5 if args.quick else 9)
+    print(
+        f"  cold run {end_to_end['cold_run_s']:.3f}s, warm run "
+        f"{end_to_end['warm_run_s']:.3f}s, import repro.cli "
+        f"{end_to_end['import_cli_s']:.3f}s (medians of "
+        f"{end_to_end['runs']})"
+    )
+
     payload = {
         "seed": SEED,
         "quick": args.quick,
@@ -531,6 +587,7 @@ def main(argv=None):
         "telemetry": telemetry,
         "sweep": grid,
         "cache": cache,
+        "end_to_end": end_to_end,
     }
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)

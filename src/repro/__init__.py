@@ -23,44 +23,40 @@ Subpackages:
 * ``repro.sim``       — the machine simulator, runner, metrics.
 * ``repro.workloads`` — the 15 Table-IV applications + microbenchmarks.
 * ``repro.analysis``  — offline pattern study, report formatting.
+
+Every package exports its names lazily: ``import repro`` loads no
+simulator code, and each name is imported the first time it is read.
 """
 
-from repro import analysis, baselines, hopp, kernel, memsim, net, trace, workloads
-from repro.sim import (
-    Comparison,
-    Machine,
-    MachineConfig,
-    RunResult,
-    SystemSpec,
-    compare,
-    local_completion_time,
-    make_machine,
-    run,
-    run_corun,
-)
-from repro.sim import systems
+from repro.common.lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "analysis",
-    "baselines",
-    "hopp",
-    "kernel",
-    "memsim",
-    "net",
-    "trace",
-    "workloads",
-    "systems",
-    "Comparison",
-    "Machine",
-    "MachineConfig",
-    "RunResult",
-    "SystemSpec",
-    "compare",
-    "local_completion_time",
-    "make_machine",
-    "run",
-    "run_corun",
-    "__version__",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.sim.machine": ("Machine", "MachineConfig"),
+        "repro.sim.metrics": ("RunResult",),
+        "repro.sim.multiprogram": ("run_corun",),
+        "repro.sim.runner": (
+            "Comparison",
+            "compare",
+            "local_completion_time",
+            "make_machine",
+            "run",
+        ),
+        "repro.sim.systems": ("SystemSpec",),
+    },
+    modules={
+        **{
+            name: f"repro.{name}"
+            for name in (
+                "analysis", "baselines", "cluster", "common", "exec", "hopp",
+                "integrity", "kernel", "memsim", "memtier", "net", "scenario",
+                "sim", "telemetry", "trace", "tune", "workloads",
+            )
+        },
+        "systems": "repro.sim.systems",
+    },
+)
+__all__.append("__version__")

@@ -1,26 +1,18 @@
 """Offline trace analysis and report formatting."""
 
-from repro.analysis.offline import OfflineStudy, replay_study
-from repro.analysis.patterns import (
-    PatternBreakdown,
-    analyze_trace,
-    classify_window,
-    page_sequence,
-)
-from repro.analysis.report import print_artifact, render_series, render_table
-from repro.analysis.sweeps import SweepPoint, SweepResult, sweep
+from repro.common.lazy import lazy_exports
 
-__all__ = [
-    "OfflineStudy",
-    "replay_study",
-    "PatternBreakdown",
-    "analyze_trace",
-    "classify_window",
-    "page_sequence",
-    "print_artifact",
-    "render_series",
-    "render_table",
-    "SweepPoint",
-    "SweepResult",
-    "sweep",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.analysis.offline": ("OfflineStudy", "replay_study"),
+        "repro.analysis.patterns": (
+            "PatternBreakdown",
+            "analyze_trace",
+            "classify_window",
+            "page_sequence",
+        ),
+        "repro.analysis.report": ("print_artifact", "render_series", "render_table"),
+        "repro.analysis.sweeps": ("SweepPoint", "SweepResult", "sweep"),
+    },
+)

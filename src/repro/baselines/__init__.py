@@ -1,16 +1,14 @@
 """Kernel-based baseline prefetchers the paper compares against."""
 
-from repro.baselines.base import FaultTimePrefetcher, NoPrefetch
-from repro.baselines.depthn import DepthNPrefetcher
-from repro.baselines.fastswap import FastswapPrefetcher
-from repro.baselines.leap import LeapPrefetcher
-from repro.baselines.vma_readahead import VmaReadaheadPrefetcher
+from repro.common.lazy import lazy_exports
 
-__all__ = [
-    "FaultTimePrefetcher",
-    "NoPrefetch",
-    "DepthNPrefetcher",
-    "FastswapPrefetcher",
-    "LeapPrefetcher",
-    "VmaReadaheadPrefetcher",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.baselines.base": ("FaultTimePrefetcher", "NoPrefetch"),
+        "repro.baselines.depthn": ("DepthNPrefetcher",),
+        "repro.baselines.fastswap": ("FastswapPrefetcher",),
+        "repro.baselines.leap": ("LeapPrefetcher",),
+        "repro.baselines.vma_readahead": ("VmaReadaheadPrefetcher",),
+    },
+)

@@ -26,21 +26,18 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from repro.analysis.patterns import analyze_trace, page_sequence
+# Only what the parser and the ``run`` path share is imported here; each
+# command imports the rest of its code itself, so a cache-hit ``run``
+# never loads the machine simulator.
 from repro.analysis.report import render_table
-from repro.cluster import ClusterConfig, placement_names
+from repro.cluster.cluster import ClusterConfig
+from repro.cluster.placement import placement_names
 from repro.exec.cache import ResultCache
 from repro.exec.pool import execute, local_ct_spec
 from repro.exec.spec import RunSpec
 from repro.net.faults import FaultPlan
 from repro.net.rdma import FabricConfig
-from repro.sim import runner, systems
-from repro.sim.batchkernel import BARRIER_KINDS
-from repro.telemetry import TelemetryConfig, chrome_trace, prometheus_snapshot
-from repro.trace.hmtt import HmttTracer
-from repro.trace.persist import load_trace, write_trace
-from repro.workloads import build as build_workload
-from repro.workloads import names as workload_names
+from repro.telemetry.config import TelemetryConfig
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -406,7 +403,7 @@ def _memtier_config(args):
     pool_nodes = getattr(args, "mem_tiers", 0)
     if not pool_nodes:
         return None
-    from repro.memtier import MemtierConfig
+    from repro.memtier.tiers import MemtierConfig
 
     kwargs = {"pool_nodes": pool_nodes}
     if args.cxl_latency_us is not None:
@@ -424,7 +421,7 @@ def _scrub_config(args):
         return None
     if rate <= 0:
         raise ValueError(f"--scrub-rate must be > 0 pages/s, got {rate:g}")
-    from repro.integrity import ScrubConfig
+    from repro.integrity.config import ScrubConfig
 
     return ScrubConfig(rate_pages_per_s=rate)
 
@@ -514,6 +511,8 @@ def _write_telemetry_artifacts(args, result) -> List[List[object]]:
         rows.append(["fetch latency mean / worst-epoch p99 (us)",
                      f"{weighted_mean:.1f}/{worst_p99:.1f}"])
     if args.trace_out is not None:
+        from repro.telemetry.exporters import chrome_trace
+
         trace_doc = chrome_trace(telemetry["trace_events"])
         with open(args.trace_out, "w", encoding="utf-8") as handle:
             json.dump(trace_doc, handle)
@@ -522,6 +521,8 @@ def _write_telemetry_artifacts(args, result) -> List[List[object]]:
             note += f" (+{telemetry['trace_dropped']} dropped at limit)"
         rows.append(["trace timeline", f"{args.trace_out} ({note})"])
     if args.prom_out is not None:
+        from repro.telemetry.exporters import prometheus_snapshot
+
         with open(args.prom_out, "w", encoding="utf-8") as handle:
             handle.write(prometheus_snapshot(result))
         rows.append(["prometheus snapshot", args.prom_out])
@@ -561,6 +562,9 @@ def _cache_summary(cache: Optional[ResultCache]) -> str:
 
 
 def _cmd_list(_args) -> int:
+    from repro.sim import systems
+    from repro.workloads import names as workload_names
+
     print("workloads:")
     for name in workload_names():
         print(f"  {name}")
@@ -675,6 +679,8 @@ def _cmd_run(args) -> int:
                        title=f"{args.workload} on {args.system} "
                              f"(local={args.fraction:.0%})"))
     if report is not None:
+        from repro.sim.batchkernel import BARRIER_KINDS
+
         print(render_table(
             ["component", "seconds", "share"], report.rows(),
             title=f"wall-clock by component ({report.total_s:.2f}s total)",
@@ -908,6 +914,11 @@ def _cmd_tune(args) -> int:
 
 
 def _cmd_trace(args) -> int:
+    from repro.sim import runner
+    from repro.trace.hmtt import HmttTracer
+    from repro.trace.persist import write_trace
+    from repro.workloads import build as build_workload
+
     workload = build_workload(args.workload, seed=args.seed)
     machine = runner.make_machine(
         workload, args.system, args.fraction, FabricConfig(seed=args.seed)
@@ -924,6 +935,10 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    from repro.analysis.patterns import analyze_trace, page_sequence
+    from repro.trace.persist import load_trace
+    from repro.workloads import build as build_workload
+
     if bool(args.trace) == bool(args.workload):
         print("analyze needs exactly one of --trace or --workload",
               file=sys.stderr)
@@ -949,6 +964,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_study(args) -> int:
     from repro.analysis.offline import replay_study
+    from repro.trace.persist import load_trace
 
     records = load_trace(args.trace)
     study = replay_study(records, hpd_threshold=args.threshold,

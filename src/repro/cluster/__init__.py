@@ -1,45 +1,28 @@
 """Rack-scale remote-memory cluster: multi-node pool, placement,
 failover, health monitoring, and background repair."""
 
-from repro.cluster.cluster import (
-    ClusterConfig,
-    ClusterNode,
-    PageLostError,
-    RemoteMemoryCluster,
-    SlotDirectoryError,
-)
-from repro.cluster.health import (
-    HealthConfig,
-    HealthMonitor,
-    NodeState,
-)
-from repro.cluster.placement import (
-    AffinityPlacement,
-    HashPlacement,
-    InterleavePlacement,
-    PlacementPolicy,
-    build_placement,
-    placement_names,
-    register_placement,
-)
-from repro.cluster.repair import RepairConfig, RepairEngine
+from repro.common.lazy import lazy_exports
 
-__all__ = [
-    "AffinityPlacement",
-    "ClusterConfig",
-    "ClusterNode",
-    "HashPlacement",
-    "HealthConfig",
-    "HealthMonitor",
-    "InterleavePlacement",
-    "NodeState",
-    "PageLostError",
-    "PlacementPolicy",
-    "RemoteMemoryCluster",
-    "RepairConfig",
-    "RepairEngine",
-    "SlotDirectoryError",
-    "build_placement",
-    "placement_names",
-    "register_placement",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.cluster.cluster": (
+            "ClusterConfig",
+            "ClusterNode",
+            "PageLostError",
+            "RemoteMemoryCluster",
+            "SlotDirectoryError",
+        ),
+        "repro.cluster.health": ("HealthConfig", "HealthMonitor", "NodeState"),
+        "repro.cluster.placement": (
+            "AffinityPlacement",
+            "HashPlacement",
+            "InterleavePlacement",
+            "PlacementPolicy",
+            "build_placement",
+            "placement_names",
+            "register_placement",
+        ),
+        "repro.cluster.repair": ("RepairConfig", "RepairEngine"),
+    },
+)

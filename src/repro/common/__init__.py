@@ -1,37 +1,26 @@
 """Shared primitives: constants, value types, LRU structures, statistics."""
 
-from repro.common import constants
-from repro.common.assoc import LruDict, SetAssociativeTable
-from repro.common.stats import CounterSet, Histogram, RunningStat, safe_ratio
-from repro.common.types import (
-    FaultBreakdown,
-    HotPage,
-    MemoryAccess,
-    PageKind,
-    PrefetchDecision,
-    PrefetchRequest,
-    RptEntry,
-    StreamObservation,
-    TraceRecord,
-    VmaRegion,
-)
+from repro.common.lazy import lazy_exports
 
-__all__ = [
-    "constants",
-    "LruDict",
-    "SetAssociativeTable",
-    "CounterSet",
-    "Histogram",
-    "RunningStat",
-    "safe_ratio",
-    "FaultBreakdown",
-    "HotPage",
-    "MemoryAccess",
-    "PageKind",
-    "PrefetchDecision",
-    "PrefetchRequest",
-    "RptEntry",
-    "StreamObservation",
-    "TraceRecord",
-    "VmaRegion",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.common.assoc": ("LruDict", "SetAssociativeTable"),
+        "repro.common.stats": ("CounterSet", "Histogram", "RunningStat", "safe_ratio"),
+        "repro.common.types": (
+            "FaultBreakdown",
+            "HotPage",
+            "MemoryAccess",
+            "PageKind",
+            "PrefetchDecision",
+            "PrefetchRequest",
+            "RptEntry",
+            "StreamObservation",
+            "TraceRecord",
+            "VmaRegion",
+        ),
+    },
+    modules={
+        "constants": "repro.common.constants",
+    },
+)

@@ -139,3 +139,11 @@ POLICY_OFFSET_MAX = 1024
 POLICY_T_MIN_US = 40.0
 POLICY_T_MAX_US = 5_000.0
 POLICY_DEFAULT_INTENSITY = 1
+
+# ---------------------------------------------------------------------------
+# Evaluation methodology, Section VI-A.
+# ---------------------------------------------------------------------------
+
+#: Local-memory fraction used when measuring CT_local (big enough that
+#: nothing is ever reclaimed).
+LOCAL_FRACTION = 4.0

@@ -9,16 +9,18 @@ from its own config, so serial and parallel execution produce
 byte-identical RunResults (pinned by tests/test_exec_pool.py).
 """
 
-from repro.exec.cache import ResultCache, TraceCache, cache_key, default_cache_dir
-from repro.exec.pool import execute, run_spec
-from repro.exec.spec import RunSpec
+from repro.common.lazy import lazy_exports
 
-__all__ = [
-    "RunSpec",
-    "ResultCache",
-    "TraceCache",
-    "cache_key",
-    "default_cache_dir",
-    "execute",
-    "run_spec",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.exec.spec": ("RunSpec",),
+        "repro.exec.cache": (
+            "ResultCache",
+            "TraceCache",
+            "cache_key",
+            "default_cache_dir",
+        ),
+        "repro.exec.pool": ("execute", "run_spec"),
+    },
+)

@@ -19,10 +19,10 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Dict, List, Optional, Sequence
 
+from repro.common.constants import LOCAL_FRACTION
 from repro.exec.cache import ResultCache, TraceCache
 from repro.exec.spec import RunSpec
 from repro.net.rdma import FabricConfig
-from repro.sim import runner
 from repro.sim import systems as systems_mod
 from repro.sim.metrics import RunResult
 from repro.workloads import build as build_workload
@@ -36,7 +36,13 @@ logger = logging.getLogger(__name__)
 
 def run_spec(spec: RunSpec, trace_cache: Optional[TraceCache] = None) -> RunResult:
     """Execute one spec in-process; the single source of truth for how a
-    RunSpec maps onto :func:`repro.sim.runner.run`."""
+    RunSpec maps onto :func:`repro.sim.runner.run`.
+
+    The runner (and with it the machine simulator) is imported here, on
+    the first point that has to run, so a sweep served entirely from
+    the result cache never loads it."""
+    from repro.sim import runner
+
     workload = build_workload(spec.workload, seed=spec.seed, **spec.workload_kwargs)
     trace = None
     if trace_cache is not None:
@@ -152,7 +158,7 @@ def local_ct_spec(workload: str, seed: int, fabric: Optional[FabricConfig] = Non
     return RunSpec(
         workload=workload,
         system="noprefetch",
-        fraction=runner.LOCAL_FRACTION,
+        fraction=LOCAL_FRACTION,
         seed=seed,
         workload_kwargs=dict(workload_kwargs or {}),
         fabric=fabric,

@@ -19,11 +19,11 @@ from dataclasses import asdict, dataclass, field
 from typing import Dict, Optional
 
 from repro.cluster.cluster import ClusterConfig
-from repro.integrity import ScrubConfig
-from repro.memtier import MemtierConfig
+from repro.integrity.config import ScrubConfig
+from repro.memtier.tiers import MemtierConfig
 from repro.net.faults import FaultPlan
 from repro.net.rdma import FabricConfig
-from repro.telemetry import TelemetryConfig
+from repro.telemetry.config import TelemetryConfig
 
 #: ``runner.run`` parameters covered by RunSpec (signature-audit anchor).
 RUNNER_KWARGS_COVERED = frozenset(

@@ -1,45 +1,27 @@
 """HoPP core: hardware modules (HPD, RPT) and the software stack
 (training framework, policy engine, execution engine)."""
 
-from repro.hopp.eviction import StreamAwareEvictionAdvisor
-from repro.hopp.executor import ExecutionEngine, PrefetchRecord
-from repro.hopp.hugepage import HugePageBatcher
-from repro.hopp.learned import LearnedStridePredictor, LearnedTrainer
-from repro.hopp.prototype import PrototypeDataPlane
-from repro.hopp.hardware_model import SramEstimate, SramModel
-from repro.hopp.hpd import HotPageDetector, MultiChannelHpd
-from repro.hopp.policy import PolicyConfig, PolicyEngine
-from repro.hopp.rpt import (
-    ReversePageTable,
-    RptCache,
-    RptMaintainer,
-    rpt_bandwidth_overhead,
-)
-from repro.hopp.stt import StreamTrainingTable
-from repro.hopp.system import HoppConfig, HoppDataPlane
-from repro.hopp.three_tier import ThreeTierTrainer, TierConfig
+from repro.common.lazy import lazy_exports
 
-__all__ = [
-    "StreamAwareEvictionAdvisor",
-    "ExecutionEngine",
-    "HugePageBatcher",
-    "LearnedStridePredictor",
-    "LearnedTrainer",
-    "PrototypeDataPlane",
-    "PrefetchRecord",
-    "SramEstimate",
-    "SramModel",
-    "HotPageDetector",
-    "MultiChannelHpd",
-    "PolicyConfig",
-    "PolicyEngine",
-    "ReversePageTable",
-    "RptCache",
-    "RptMaintainer",
-    "rpt_bandwidth_overhead",
-    "StreamTrainingTable",
-    "HoppConfig",
-    "HoppDataPlane",
-    "ThreeTierTrainer",
-    "TierConfig",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.hopp.eviction": ("StreamAwareEvictionAdvisor",),
+        "repro.hopp.executor": ("ExecutionEngine", "PrefetchRecord"),
+        "repro.hopp.hugepage": ("HugePageBatcher",),
+        "repro.hopp.learned": ("LearnedStridePredictor", "LearnedTrainer"),
+        "repro.hopp.prototype": ("PrototypeDataPlane",),
+        "repro.hopp.hardware_model": ("SramEstimate", "SramModel"),
+        "repro.hopp.hpd": ("HotPageDetector", "MultiChannelHpd"),
+        "repro.hopp.policy": ("PolicyConfig", "PolicyEngine"),
+        "repro.hopp.rpt": (
+            "ReversePageTable",
+            "RptCache",
+            "RptMaintainer",
+            "rpt_bandwidth_overhead",
+        ),
+        "repro.hopp.stt": ("StreamTrainingTable",),
+        "repro.hopp.system": ("HoppConfig", "HoppDataPlane"),
+        "repro.hopp.three_tier": ("ThreeTierTrainer", "TierConfig"),
+    },
+)

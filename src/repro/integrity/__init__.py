@@ -15,17 +15,13 @@ them from reaching the application:
   resolved by CXL-style poisoning plus zero-fill.
 """
 
-from repro.integrity.checksum import PageCorruptError, SlotChecksums
-from repro.integrity.scrub import (
-    IntegrityController,
-    PatrolScrubber,
-    ScrubConfig,
-)
+from repro.common.lazy import lazy_exports
 
-__all__ = [
-    "IntegrityController",
-    "PageCorruptError",
-    "PatrolScrubber",
-    "ScrubConfig",
-    "SlotChecksums",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.integrity.checksum": ("PageCorruptError", "SlotChecksums"),
+        "repro.integrity.config": ("ScrubConfig",),
+        "repro.integrity.scrub": ("IntegrityController", "PatrolScrubber"),
+    },
+)

@@ -33,10 +33,10 @@ runs in the idle gaps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from repro.integrity.checksum import PageCorruptError, SlotChecksums  # noqa: F401
+from repro.integrity.config import ScrubConfig
 from repro.net.faults import TransferTimeout
 from repro.telemetry.events import (
     EV_CORRUPT_REPAIR,
@@ -48,26 +48,6 @@ from repro.telemetry.events import (
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints only
     from repro.cluster.cluster import RemoteMemoryCluster
     from repro.kernel.swap import SwapSpace
-
-
-@dataclass(frozen=True)
-class ScrubConfig:
-    """Patrol-scrubber shaping.
-
-    ``rate_pages_per_s``  audited copies per simulated second; the
-                          pump spaces audit reads ``1e6 / rate`` us
-                          apart.  Higher rates shrink detection latency
-                          and cost proportional READ bandwidth — the
-                          trade-off ``bench_scrub_tradeoff.py`` sweeps.
-    """
-
-    rate_pages_per_s: float = 5000.0
-
-    def __post_init__(self) -> None:
-        if self.rate_pages_per_s <= 0:
-            raise ValueError(
-                f"rate_pages_per_s must be > 0, got {self.rate_pages_per_s}"
-            )
 
 
 class IntegrityController:

@@ -1,27 +1,20 @@
 """Virtual-memory-subsystem substrate: page tables, frames, swap,
 cgroups, reclaim, and VMAs."""
 
-from repro.kernel.cgroup import CgroupManager, CgroupOverLimitError, MemoryCgroup
-from repro.kernel.frames import FrameAllocator, OutOfFramesError
-from repro.kernel.page_table import PageTable, Pte, PteState
-from repro.kernel.reclaim import LruPageList, Reclaimer, ReclaimStats
-from repro.kernel.swap import SwapCache, SwapSpace
-from repro.kernel.vma import VmaMap, VmaRegistry
+from repro.common.lazy import lazy_exports
 
-__all__ = [
-    "CgroupManager",
-    "CgroupOverLimitError",
-    "MemoryCgroup",
-    "FrameAllocator",
-    "OutOfFramesError",
-    "PageTable",
-    "Pte",
-    "PteState",
-    "LruPageList",
-    "Reclaimer",
-    "ReclaimStats",
-    "SwapCache",
-    "SwapSpace",
-    "VmaMap",
-    "VmaRegistry",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.kernel.cgroup": (
+            "CgroupManager",
+            "CgroupOverLimitError",
+            "MemoryCgroup",
+        ),
+        "repro.kernel.frames": ("FrameAllocator", "OutOfFramesError"),
+        "repro.kernel.page_table": ("PageTable", "Pte", "PteState"),
+        "repro.kernel.reclaim": ("LruPageList", "Reclaimer", "ReclaimStats"),
+        "repro.kernel.swap": ("SwapCache", "SwapSpace"),
+        "repro.kernel.vma": ("VmaMap", "VmaRegistry"),
+    },
+)

@@ -1,14 +1,12 @@
 """Memory-hierarchy substrate: caches, hierarchy, memory controller."""
 
-from repro.memsim.cache import Cache, CacheAccessResult, CacheHierarchy
-from repro.memsim.controller import MemoryController
-from repro.memsim.tlb import Tlb, TlbStats
+from repro.common.lazy import lazy_exports
 
-__all__ = [
-    "Cache",
-    "CacheAccessResult",
-    "CacheHierarchy",
-    "MemoryController",
-    "Tlb",
-    "TlbStats",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.memsim.cache": ("Cache", "CacheAccessResult", "CacheHierarchy"),
+        "repro.memsim.controller": ("MemoryController",),
+        "repro.memsim.tlb": ("Tlb", "TlbStats"),
+    },
+)

@@ -32,18 +32,17 @@ package is constructed and every run is byte-identical to the untiered
 simulator (pinned against ``tests/data/goldens_v1.json``).
 """
 
-from repro.memtier.engine import MigrationEngine
-from repro.memtier.tiers import (
-    TIER_FAR,
-    TIER_POOL,
-    MemtierConfig,
-    derive_node_tiers,
-)
+from repro.common.lazy import lazy_exports
 
-__all__ = [
-    "MemtierConfig",
-    "MigrationEngine",
-    "TIER_POOL",
-    "TIER_FAR",
-    "derive_node_tiers",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.memtier.tiers": (
+            "MemtierConfig",
+            "TIER_POOL",
+            "TIER_FAR",
+            "derive_node_tiers",
+        ),
+        "repro.memtier.engine": ("MigrationEngine",),
+    },
+)

@@ -1,6 +1,11 @@
 """RDMA fabric and remote memory node models."""
 
-from repro.net.rdma import FabricConfig, RdmaFabric
-from repro.net.remote import RemoteMemoryNode, RemoteReadError
+from repro.common.lazy import lazy_exports
 
-__all__ = ["FabricConfig", "RdmaFabric", "RemoteMemoryNode", "RemoteReadError"]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.net.rdma": ("FabricConfig", "RdmaFabric"),
+        "repro.net.remote": ("RemoteMemoryNode", "RemoteReadError"),
+    },
+)

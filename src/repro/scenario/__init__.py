@@ -11,54 +11,36 @@ The public surface of the scenario engine:
 * :mod:`~repro.scenario.engine` — the round loop that composes them
 """
 
-from repro.scenario.admission import (
-    LEVEL_DEGRADE,
-    LEVEL_NOMINAL,
-    LEVEL_REJECT,
-    LEVEL_THROTTLE,
-    AdmissionController,
-    AdmissionRejectedError,
-    LadderConfig,
-)
-from repro.scenario.autoscaler import Autoscaler, AutoscalerConfig
-from repro.scenario.engine import (
-    PRESETS,
-    ScenarioConfig,
-    preset,
-    run_scenario,
-)
-from repro.scenario.slo import SloTarget, SloTracker
-from repro.scenario.traffic import (
-    TIER_BEST_EFFORT,
-    TIER_GUARANTEED,
-    TenantSpec,
-    build_fleet,
-    intensity,
-    pattern_names,
-    register_pattern,
-)
+from repro.common.lazy import lazy_exports
 
-__all__ = [
-    "AdmissionController",
-    "AdmissionRejectedError",
-    "Autoscaler",
-    "AutoscalerConfig",
-    "LadderConfig",
-    "LEVEL_DEGRADE",
-    "LEVEL_NOMINAL",
-    "LEVEL_REJECT",
-    "LEVEL_THROTTLE",
-    "PRESETS",
-    "ScenarioConfig",
-    "SloTarget",
-    "SloTracker",
-    "TenantSpec",
-    "TIER_BEST_EFFORT",
-    "TIER_GUARANTEED",
-    "build_fleet",
-    "intensity",
-    "pattern_names",
-    "preset",
-    "register_pattern",
-    "run_scenario",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.scenario.admission": (
+            "AdmissionController",
+            "AdmissionRejectedError",
+            "LadderConfig",
+            "LEVEL_DEGRADE",
+            "LEVEL_NOMINAL",
+            "LEVEL_REJECT",
+            "LEVEL_THROTTLE",
+        ),
+        "repro.scenario.autoscaler": ("Autoscaler", "AutoscalerConfig"),
+        "repro.scenario.engine": (
+            "PRESETS",
+            "ScenarioConfig",
+            "preset",
+            "run_scenario",
+        ),
+        "repro.scenario.slo": ("SloTarget", "SloTracker"),
+        "repro.scenario.traffic": (
+            "TenantSpec",
+            "TIER_BEST_EFFORT",
+            "TIER_GUARANTEED",
+            "build_fleet",
+            "intensity",
+            "pattern_names",
+            "register_pattern",
+        ),
+    },
+)

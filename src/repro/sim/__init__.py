@@ -1,34 +1,22 @@
 """Full-system simulator: machine, system registry, runner, metrics."""
 
-from repro.sim.detailed import CacheFilter, VolumeReport, mmu_vs_mc_volumes
-from repro.sim.machine import Machine, MachineConfig
-from repro.sim.metrics import RunResult
-from repro.sim.multiprogram import run_corun
-from repro.sim.runner import (
-    Comparison,
-    collect,
-    compare,
-    local_completion_time,
-    make_machine,
-    run,
-)
-from repro.sim.systems import SystemSpec, build, names
+from repro.common.lazy import lazy_exports
 
-__all__ = [
-    "CacheFilter",
-    "VolumeReport",
-    "mmu_vs_mc_volumes",
-    "Machine",
-    "MachineConfig",
-    "RunResult",
-    "run_corun",
-    "Comparison",
-    "collect",
-    "compare",
-    "local_completion_time",
-    "make_machine",
-    "run",
-    "SystemSpec",
-    "build",
-    "names",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.sim.detailed": ("CacheFilter", "VolumeReport", "mmu_vs_mc_volumes"),
+        "repro.sim.machine": ("Machine", "MachineConfig"),
+        "repro.sim.metrics": ("RunResult",),
+        "repro.sim.multiprogram": ("run_corun",),
+        "repro.sim.runner": (
+            "Comparison",
+            "collect",
+            "compare",
+            "local_completion_time",
+            "make_machine",
+            "run",
+        ),
+        "repro.sim.systems": ("SystemSpec", "build", "names"),
+    },
+)

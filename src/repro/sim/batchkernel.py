@@ -194,7 +194,7 @@ class BatchKernel:
             else:
                 pids = [item[0] for item in buf]
                 vaddrs = [item[1] for item in buf]
-                writes = [item[2] if len(item) == 3 else False for item in buf]
+                writes = [len(item) == 3 and bool(item[2]) for item in buf]
             vector(pids, vaddrs, writes)
 
     def _chunk_vector(self, pids_t, vaddrs_t, writes_t) -> None:
@@ -252,8 +252,13 @@ class BatchKernel:
         bounds = [*compress(range(1, n), changed), n]
         # wr_cum[j] = number of writes among the chunk's first j
         # accesses; O(1) write counts for any sub-run even when a
-        # budget barrier splits it.
-        wr_cum = None if writes_t is None else list(accumulate(writes_t, initial=0))
+        # budget barrier splits it.  A flag counts by its truth, as in
+        # access(): a raw ``2`` is one write, not two.
+        wr_cum = (
+            None
+            if writes_t is None
+            else list(accumulate(map(bool, writes_t), initial=0))
+        )
 
         i = 0
         b = 0

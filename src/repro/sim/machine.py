@@ -13,7 +13,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.baselines.base import FaultTimePrefetcher
 from repro.cluster.cluster import (
@@ -47,12 +47,8 @@ from repro.common.constants import (
 )
 from repro.common.types import FaultBreakdown
 from repro.hopp.system import HoppDataPlane
-from repro.integrity import (
-    IntegrityController,
-    PageCorruptError,
-    PatrolScrubber,
-    ScrubConfig,
-)
+from repro.integrity.checksum import PageCorruptError
+from repro.integrity.config import ScrubConfig
 from repro.kernel.cgroup import CgroupManager, CgroupOverLimitError, MemoryCgroup
 from repro.kernel.frames import FrameAllocator
 from repro.kernel.page_table import PageTable, Pte, PteState
@@ -60,7 +56,7 @@ from repro.kernel.reclaim import LruPageList, Reclaimer
 from repro.kernel.swap import SwapCache, SwapSpace
 from repro.kernel.vma import VmaRegistry
 from repro.memsim.controller import MemoryController
-from repro.memtier import MemtierConfig, MigrationEngine, derive_node_tiers
+from repro.memtier.tiers import MemtierConfig, derive_node_tiers
 from repro.net.faults import (
     FaultInjector,
     FaultPlan,
@@ -70,9 +66,10 @@ from repro.net.faults import (
 )
 from repro.net.rdma import FabricConfig, RdmaFabric
 from repro.net.remote import RemoteMemoryNode
+# Module level, not at the first run: every import a run needs finishes
+# before make_machine returns, outside the timed replay window.
 from repro.sim import batchkernel
-from repro.sim.sanitizer import InvariantSanitizer
-from repro.telemetry import Telemetry, TelemetryConfig
+from repro.telemetry.config import TelemetryConfig
 from repro.telemetry.events import (
     EV_CACHE_INVALIDATE,
     EV_DEMAND_FAULT,
@@ -83,6 +80,12 @@ from repro.telemetry.events import (
     EV_PREFETCH_UNUSED,
     EV_RETRY,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - armed-only engines, imported where armed
+    from repro.integrity.scrub import IntegrityController, PatrolScrubber
+    from repro.memtier.engine import MigrationEngine
+    from repro.sim.sanitizer import InvariantSanitizer
+    from repro.telemetry.facade import Telemetry
 
 PAGE_OFFSET_MASK = (1 << PAGE_SHIFT) - 1
 
@@ -234,6 +237,8 @@ class Machine:
         #: resident-hit fast path never sees it.
         self.memtier: Optional[MigrationEngine] = None
         if config.memtier is not None:
+            from repro.memtier.engine import MigrationEngine
+
             self.memtier = MigrationEngine(
                 self.cluster, self.swap_space, config.memtier
             )
@@ -245,6 +250,8 @@ class Machine:
         self.integrity: Optional[IntegrityController] = None
         self.scrubber: Optional[PatrolScrubber] = None
         if (plan is not None and plan.has_corruption) or config.scrub is not None:
+            from repro.integrity.scrub import IntegrityController, PatrolScrubber
+
             self.integrity = IntegrityController(self.cluster, self.swap_space)
             self.integrity.memtier = self.memtier
             if self.memtier is not None:
@@ -260,6 +267,8 @@ class Machine:
         #: uninstrumented one (pinned by tests/test_telemetry.py).
         self.telemetry: Optional[Telemetry] = None
         if config.telemetry is not None:
+            from repro.telemetry.facade import Telemetry
+
             self.telemetry = Telemetry(config.telemetry)
             bus = self.telemetry.bus
             for node in self.cluster.nodes:
@@ -272,9 +281,11 @@ class Machine:
                 self.memtier.bus = bus
             if self.integrity is not None:
                 self.integrity.bus = bus
-        self.sanitizer: Optional[InvariantSanitizer] = (
-            InvariantSanitizer(self) if config.check_invariants else None
-        )
+        self.sanitizer: Optional[InvariantSanitizer] = None
+        if config.check_invariants:
+            from repro.sim.sanitizer import InvariantSanitizer
+
+            self.sanitizer = InvariantSanitizer(self)
         self._sanitize_after_recovery = False
         self.cgroups = CgroupManager()
         self.reclaimer = Reclaimer(config.watermark_slack)

@@ -7,20 +7,17 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Union
 
 from repro.cluster.cluster import ClusterConfig
-from repro.integrity import ScrubConfig
-from repro.memtier import MemtierConfig
+from repro.common.constants import LOCAL_FRACTION
+from repro.integrity.config import ScrubConfig
+from repro.memtier.tiers import MemtierConfig
 from repro.net.faults import FaultPlan
 from repro.net.rdma import FabricConfig
 from repro.sim import systems as systems_mod
 from repro.sim.machine import Machine, MachineConfig
 from repro.sim.metrics import RunResult
 from repro.sim.systems import SystemSpec
-from repro.telemetry import TelemetryConfig
+from repro.telemetry.config import TelemetryConfig
 from repro.workloads.base import Workload
-
-#: Local-memory fraction used when measuring CT_local (big enough that
-#: nothing is ever reclaimed).
-LOCAL_FRACTION = 4.0
 
 
 def _resolve(system: Union[str, SystemSpec]) -> SystemSpec:

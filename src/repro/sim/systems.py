@@ -10,7 +10,7 @@ the fault path and adds the asynchronous data plane beside it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, is_dataclass, replace
-from typing import Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro.baselines.base import NoPrefetch
 from repro.baselines.depthn import DepthNPrefetcher
@@ -20,7 +20,9 @@ from repro.baselines.vma_readahead import VmaReadaheadPrefetcher
 from repro.hopp.policy import PolicyConfig
 from repro.hopp.system import HoppConfig, HoppDataPlane
 from repro.hopp.three_tier import TierConfig
-from repro.sim.machine import Machine, MachineConfig
+
+if TYPE_CHECKING:  # pragma: no cover - the builders import it when they run
+    from repro.sim.machine import Machine, MachineConfig
 
 #: HoPP prefetch tiers, used by benches to attribute hits.
 HOPP_TIERS = ("ssp", "lsp", "rsp")
@@ -43,6 +45,8 @@ class SystemSpec:
 
 def _plain(prefetcher_factory: Callable[[], object]) -> Callable[[MachineConfig], Machine]:
     def build(config: MachineConfig) -> Machine:
+        from repro.sim.machine import Machine
+
         return Machine(config, fault_prefetcher=prefetcher_factory())
 
     return build
@@ -50,6 +54,8 @@ def _plain(prefetcher_factory: Callable[[], object]) -> Callable[[MachineConfig]
 
 def _hopp(hopp_config_factory: Callable[[], HoppConfig]) -> Callable[[MachineConfig], Machine]:
     def build(config: MachineConfig) -> Machine:
+        from repro.sim.machine import Machine
+
         machine = Machine(config, fault_prefetcher=FastswapPrefetcher())
         plane = HoppDataPlane(machine, hopp_config_factory())
         machine.hopp = plane

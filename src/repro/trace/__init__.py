@@ -1,19 +1,16 @@
 """HMTT-style full memory trace capture (Section V emulation)."""
 
-from repro.trace.hmtt import HmttTracer, TraceRing, replay
-from repro.trace.persist import (
-    TraceFormatError,
-    load_trace,
-    read_trace,
-    write_trace,
-)
+from repro.common.lazy import lazy_exports
 
-__all__ = [
-    "HmttTracer",
-    "TraceRing",
-    "replay",
-    "TraceFormatError",
-    "load_trace",
-    "read_trace",
-    "write_trace",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.trace.hmtt": ("HmttTracer", "TraceRing", "replay"),
+        "repro.trace.persist": (
+            "TraceFormatError",
+            "load_trace",
+            "read_trace",
+            "write_trace",
+        ),
+    },
+)

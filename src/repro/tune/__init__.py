@@ -4,75 +4,47 @@ tiers), riding the exec engine so every evaluation is cached, parallel,
 and resumable.  See docs/architecture.md section 16.
 """
 
-from repro.tune.objective import (
-    Constraint,
-    Objective,
-    ObjectiveError,
-    extract_metrics,
-    pareto_front,
-)
-from repro.tune.report import (
-    best_config_report,
-    render_trajectory,
-    trajectory_rows,
-    write_report,
-)
-from repro.tune.space import (
-    CatParam,
-    FloatParam,
-    IntParam,
-    SearchSpace,
-    SpaceError,
-    build_space,
-    default_config,
-    register_space,
-    space_names,
-    to_run_spec,
-)
-from repro.tune.strategy import (
-    Evolutionary,
-    RandomSearch,
-    Strategy,
-    StrategyError,
-    SuccessiveHalving,
-    Trial,
-    TrialRequest,
-    build_strategy,
-    strategy_names,
-)
-from repro.tune.tuner import FidelitySpec, TuneError, TuneResult, Tuner
+from repro.common.lazy import lazy_exports
 
-__all__ = [
-    "CatParam",
-    "Constraint",
-    "Evolutionary",
-    "FidelitySpec",
-    "FloatParam",
-    "IntParam",
-    "Objective",
-    "ObjectiveError",
-    "RandomSearch",
-    "SearchSpace",
-    "SpaceError",
-    "Strategy",
-    "StrategyError",
-    "SuccessiveHalving",
-    "Trial",
-    "TrialRequest",
-    "TuneError",
-    "TuneResult",
-    "Tuner",
-    "best_config_report",
-    "build_space",
-    "build_strategy",
-    "default_config",
-    "extract_metrics",
-    "pareto_front",
-    "register_space",
-    "render_trajectory",
-    "space_names",
-    "strategy_names",
-    "to_run_spec",
-    "trajectory_rows",
-    "write_report",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.tune.objective": (
+            "Constraint",
+            "Objective",
+            "ObjectiveError",
+            "extract_metrics",
+            "pareto_front",
+        ),
+        "repro.tune.report": (
+            "best_config_report",
+            "render_trajectory",
+            "trajectory_rows",
+            "write_report",
+        ),
+        "repro.tune.space": (
+            "CatParam",
+            "FloatParam",
+            "IntParam",
+            "SearchSpace",
+            "SpaceError",
+            "build_space",
+            "default_config",
+            "register_space",
+            "space_names",
+            "to_run_spec",
+        ),
+        "repro.tune.strategy": (
+            "Evolutionary",
+            "RandomSearch",
+            "Strategy",
+            "StrategyError",
+            "SuccessiveHalving",
+            "Trial",
+            "TrialRequest",
+            "build_strategy",
+            "strategy_names",
+        ),
+        "repro.tune.tuner": ("FidelitySpec", "TuneError", "TuneResult", "Tuner"),
+    },
+)

@@ -1,23 +1,18 @@
 """Workload suite: the 15 Table-IV applications plus microbenchmarks."""
 
-from repro.workloads.base import Access, ProcessSpec, Workload
-from repro.workloads.registry import (
-    ALL_APPS,
-    NON_JVM_APPS,
-    SPARK_APPS,
-    build,
-    names,
-    register,
-)
+from repro.common.lazy import lazy_exports
 
-__all__ = [
-    "Access",
-    "ProcessSpec",
-    "Workload",
-    "ALL_APPS",
-    "NON_JVM_APPS",
-    "SPARK_APPS",
-    "build",
-    "names",
-    "register",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.workloads.base": ("Access", "ProcessSpec", "Workload"),
+        "repro.workloads.registry": (
+            "ALL_APPS",
+            "NON_JVM_APPS",
+            "SPARK_APPS",
+            "build",
+            "names",
+            "register",
+        ),
+    },
+)

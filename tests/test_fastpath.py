@@ -70,6 +70,24 @@ class TestFastPathEquivalence:
         assert fast.mc_reads > 0
         assert fast.to_dict(full=True) == slow.to_dict(full=True)
 
+    @pytest.mark.parametrize("system", ["fastswap", "hopp"])
+    @pytest.mark.parametrize("layout", ["3-tuple", "mixed"])
+    def test_truthy_write_flags(self, system, layout):
+        # access() reads a write flag by its truth, so a hand-built
+        # trace whose flag is a truthy non-bool (2) must count one
+        # write per flagged access on the batched path too, in uniform
+        # 3-tuple chunks and in mixed 2-/3-tuple chunks alike.
+        base = list(build("stream-simple", seed=3).trace())
+        if layout == "3-tuple":
+            trace = [(pid, vaddr, 2 if i % 5 == 0 else 0)
+                     for i, (pid, vaddr) in enumerate(base)]
+        else:
+            trace = [(pid, vaddr, 2) if i % 5 == 0 else (pid, vaddr)
+                     for i, (pid, vaddr) in enumerate(base)]
+        fast, slow = run_both("stream-simple", system, 0.5, trace=trace)
+        assert slow.mc_writes == len(range(0, len(trace), 5))
+        assert fast.to_dict(full=True) == slow.to_dict(full=True)
+
     @pytest.mark.parametrize("fraction", [0.25, 1.0, 4.0])
     def test_across_memory_pressure(self, fraction):
         # 4.0 = everything resident (pure fast path); 0.25 = constant
